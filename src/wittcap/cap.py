@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import gf3, pg
 from .pg import Hyperplane, Point
-from .veronese import VeroneseModel, classify_conic_plane, veronese_map
+from .veronese import MONOMIALS, VeroneseModel, classify_conic_plane, veronese_map
 
 DEFAULT_BASE_PREIMAGE: Point = (1, 0, 0)
 
@@ -74,7 +74,10 @@ def internal_partner(model: VeroneseModel, base: Point, y: Point) -> Point:
     conic = model.conic_through(base, y)
     internal = classify_conic_plane(conic).internal
     hits = [p for p in pg.line_through(base, y) if p in internal]
-    assert len(hits) == 1
+    if len(hits) != 1:
+        raise ValueError(
+            f"the line through {base} and {y} has {len(hits)} internal points"
+        )
     return hits[0]
 
 
@@ -232,26 +235,22 @@ def vector_identity_check() -> bool:
     coordinate function in play is also invariant under rescaling the
     argument, since 2^2 = 1.
     """
+    # Raw, uncanonicalised maps: veronese_map and cap_map canonicalise their
+    # argument, which would make the doubling half of the check vacuous.
+    def monomials(x):
+        return gf3.vec(x[i] * x[j] for i, j in MONOMIALS)
+
     v_inf = (1, 0, 0, 0, 0, 0)
     for x1, x2 in itertools.product((0, 1, 2), repeat=2):
         if (x1, x2) == (0, 0):
             continue
-        v = {
-            u: gf3.vec((u * u, u * x1, u * x2, x1 * x1, x1 * x2, x2 * x2))
-            for u in (0, 1, 2)
-        }
+        v = {u: monomials((u, x1, x2)) for u in (0, 1, 2)}
         for u in (0, 1, 2):
             lhs = gf3.vec_add(v[u], v_inf)
             rhs = gf3.vec_scale(2, gf3.vec_add(v[(u + 1) % 3], v[(u + 2) % 3]))
             if lhs != rhs:
                 return False
-    raw_quadratics = [
-        lambda x: tuple(x[i] * x[j] % 3 for i, j in
-                        ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))),
-        lambda x: tuple(v % 3 for v in (
-            x[0] * x[0] + 1, x[0] * x[1], x[0] * x[2],
-            x[1] * x[1], x[1] * x[2], x[2] * x[2])),
-    ]
+    raw_quadratics = [monomials, lambda x: gf3.vec_add(monomials(x), v_inf)]
     for f in raw_quadratics:
         for x in itertools.product((0, 1, 2), repeat=3):
             doubled = tuple((2 * t) % 3 for t in x)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import inf
 
 from . import cap as capmod
 from . import cosets, golay, pg
@@ -48,13 +47,10 @@ def _fmt(p) -> str:
     return pg.format_point(p)
 
 
-def _fmt_label(k) -> str:
-    return "inf" if k == inf else str(k)
-
-
-def _ordered_cap_points(model, base) -> list[pg.Point]:
+def _ordered_cap_points(model, preimage) -> list[pg.Point]:
     """Cap points in parameter-domain lexicographic order."""
-    pre = next(x for x in pg.enumerate_points(2) if veronese_map(x) == base)
+    pre = pg.canonical_point(preimage)
+    base = veronese_map(pre)
     domain = [x for x in pg.enumerate_points(2) if x != pre]
     return [capmod.internal_partner(model, base, veronese_map(x)) for x in domain]
 
@@ -62,7 +58,7 @@ def _ordered_cap_points(model, base) -> list[pg.Point]:
 def cmd_build_cap(args) -> tuple[int, dict, list[str]]:
     model = build_model()
     base = veronese_map(args.preimage)
-    pts = _ordered_cap_points(model, base)
+    pts = _ordered_cap_points(model, args.preimage)
     report = {
         "command": "build-cap",
         "base": _fmt(base),
@@ -240,7 +236,7 @@ def cmd_analyze_r(args) -> tuple[int, dict, list[str]]:
         "projection": {
             "target": _fmt(proj.target),
             "lines": {
-                _fmt_label(k): [_fmt(p) for p in proj.lines[k]]
+                cosets.LABEL_NAMES[k]: [_fmt(p) for p in proj.lines[k]]
                 for k in cosets.LABEL_ORDER
             },
             "transversal": [_fmt(p) for p in proj.transversal],
@@ -256,7 +252,7 @@ def cmd_analyze_r(args) -> tuple[int, dict, list[str]]:
     lines.append(f"target={_fmt(proj.target)}")
     for k in cosets.LABEL_ORDER:
         lines.append(
-            f"line_{_fmt_label(k)}=" + ",".join(_fmt(p) for p in proj.lines[k])
+            f"line_{cosets.LABEL_NAMES[k]}=" + ",".join(_fmt(p) for p in proj.lines[k])
         )
     lines.append("transversal=" + ",".join(_fmt(p) for p in proj.transversal))
     lines.append("image_points=" + ",".join(_fmt(p) for p in proj.image_points))

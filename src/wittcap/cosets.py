@@ -4,8 +4,10 @@ Each of the four conic planes through the base point splits, away from the
 base and its tangent line, into three 3-point layers: the remaining conic
 points (layer 0), the internal points (layer 1), and the external points off
 the tangent (layer 2).  A unique plane elation with centre at the base and
-axis the tangent cycles the layers 0 -> 1 -> 2 -> 0.  Choosing one layer
-index per conic gives 81 twelve-point sets, indexed by quadruples in F^4:
+axis the tangent cycles the layers 0 -> 1 -> 2 -> 0.  The conics carry the
+labels 0, 1, 2, 3 (3 is displayed as "inf"), and a quadruple lists its
+layer indices in label order.  Choosing one layer index per conic gives 81
+twelve-point sets, indexed by quadruples in F^4:
 
   * quadruple sum 0 mod 3: projectively a punctured Veronese surface,
   * sum 1: a Witt-design cap,
@@ -14,31 +16,36 @@ index per conic gives 81 twelve-point sets, indexed by quadruples in F^4:
 
 The layer elations of index quadruples summing to 0 extend jointly to
 space collineations; the group of those extensions has order 27 and its
-orbits sweep out the sum-0 and sum-1 classes.  Exotic sets are studied by
-projecting from the base point: the four conic planes flatten to four
-mutually skew lines, the tangent plane to their unique common transversal,
-and the twelve points land exactly on the lines minus the transversal.
+orbits sweep out the sum-0 and sum-1 classes.  Both kinds of elation, in a
+conic plane and in space, are built by pg.perspectivity from one point pair.
+Exotic sets are studied by projecting from the base point: the four conic
+planes flatten to four mutually skew lines, the tangent plane to their
+unique common transversal, and the twelve points land exactly on the lines
+minus the transversal.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import inf
+from functools import lru_cache
 
 from . import gf3, pg
+from .cap import internal_partner
 from .pg import Collineation, Hyperplane, Point
 from .veronese import (
     Conic,
     VeroneseModel,
     classify_conic_plane,
-    lift_collineation,
     tangent_lines,
     veronese_map,
 )
+# Unused here; bench/selftest.py checks that the tracer wraps this binding.
+from .veronese import lift_collineation  # noqa: F401
 
-Label = float | int          # 0, 1, 2 or math.inf
-LABEL_ORDER: tuple[Label, ...] = (0, 1, 2, inf)
+# A label is its own position; label 3 is the direction x1 = 0, shown as "inf".
+LABEL_ORDER: tuple[int, ...] = (0, 1, 2, 3)
+LABEL_NAMES: tuple[str, ...] = ("0", "1", "2", "inf")
 
 Quadruple = tuple[int, int, int, int]
 
@@ -46,7 +53,8 @@ CLASS_NAMES = {0: "surface", 1: "cap", 2: "exotic"}
 
 # The space elation fixing the prime {y22 = 0} pointwise and the base point
 # (1,0,0,0,0,0) linewise that extends the label-0 layer elation trivially and
-# the other three in their cycling direction: it adds y22 to y00.
+# the other three in their cycling direction: it adds y22 to y00.  It is the
+# paper's reference matrix; extended_elation must reproduce it at that base.
 BASE_EXTENSION = pg.collineation(
     (
         (1, 0, 0, 0, 0, 0),
@@ -58,17 +66,15 @@ BASE_EXTENSION = pg.collineation(
     )
 )
 
-DEFAULT_BASE: Point = (1, 0, 0, 0, 0, 0)
-
 _PLANE_AT_INFINITY: Hyperplane = (1, 0, 0)   # line {x0 = 0} of the parameter plane
 
 
 @dataclass(frozen=True, eq=False)
 class LayerSystem:
     base: Point
-    conics: dict[Label, Conic]
-    tangents: dict[Label, frozenset[Point]]
-    layers: dict[tuple[Label, int], frozenset[Point]]
+    conics: dict[int, Conic]
+    tangents: dict[int, frozenset[Point]]
+    layers: dict[tuple[int, int], frozenset[Point]]
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ class OrbitReport:
 @dataclass(frozen=True, eq=False)
 class ProjectionReport:
     target: Hyperplane
-    lines: dict[Label, tuple[Point, ...]]
+    lines: dict[int, tuple[Point, ...]]
     transversal: tuple[Point, ...]
     image_points: tuple[Point, ...]
 
@@ -105,26 +111,27 @@ class ExoticReport:
     projection: ProjectionReport
 
 
-def _preimage(model: VeroneseModel, base: Point) -> Point:
+def _preimage(base: Point) -> Point:
     for x in pg.enumerate_points(2):
         if veronese_map(x) == base:
             return x
     raise ValueError("base must be a surface point")
 
 
-def labeled_conics(model: VeroneseModel, base: Point) -> dict[Label, Conic]:
+def labeled_conics(model: VeroneseModel, base: Point) -> dict[int, Conic]:
     """The four conics through the base, labelled by the direction of their
     preimage lines: a line through the base preimage meets {x0 = 0} in one
-    point (0, x1, x2), and the label is x2/x1, with inf for x1 = 0.
+    point (0, x1, x2), and the label is x2/x1, with 3 ("inf") for x1 = 0.
 
     If the base preimage itself lies on {x0 = 0} that rule degenerates; the
-    line {x0 = 0} then takes the label inf and the rest are labelled 0, 1, 2
+    line {x0 = 0} then takes the label 3 and the rest are labelled 0, 1, 2
     in lexicographic order of their dual coordinates.
     """
-    pre = _preimage(model, base)
+    pre = _preimage(base)
     through = [c for c in model.conics if base in c.points]
-    assert len(through) == 4
-    out: dict[Label, Conic] = {}
+    if len(through) != 4:
+        raise ValueError(f"{len(through)} conics pass through {base}, not 4")
+    out: dict[int, Conic] = {}
     if pg.incident(pre, _PLANE_AT_INFINITY):
         rest = sorted(
             (c for c in through if c.preimage_line != _PLANE_AT_INFINITY),
@@ -133,29 +140,25 @@ def labeled_conics(model: VeroneseModel, base: Point) -> dict[Label, Conic]:
         for label, c in zip((0, 1, 2), rest):
             out[label] = c
         (omega,) = [c for c in through if c.preimage_line == _PLANE_AT_INFINITY]
-        out[inf] = omega
+        out[3] = omega
     else:
         for c in through:
             a = c.preimage_line
             direction = pg.canonical_point((0, a[2], (-a[1]) % 3))
             # canonical form pins direction = (0, 1, k) or (0, 0, 1)
-            out[inf if direction[1] == 0 else direction[2]] = c
-    assert len(out) == 4
+            out[3 if direction[1] == 0 else direction[2]] = c
+    if len(out) != 4:
+        raise ValueError(f"the conics through {base} take labels {sorted(out)}")
     return out
 
 
-_layer_cache: dict[tuple[int, Point], LayerSystem] = {}
-
-
+@lru_cache(maxsize=None)
 def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
     """For each conic through the base: layer 0 = conic minus base, layer 1 =
     internal points, layer 2 = external points off the tangent at the base."""
-    key = (id(model), base)
-    if key in _layer_cache:
-        return _layer_cache[key]
     conics = labeled_conics(model, base)
-    tangents: dict[Label, frozenset[Point]] = {}
-    layers: dict[tuple[Label, int], frozenset[Point]] = {}
+    tangents: dict[int, frozenset[Point]] = {}
+    layers: dict[tuple[int, int], frozenset[Point]] = {}
     for k, c in conics.items():
         part = classify_conic_plane(c)
         t = tangent_lines(c)[base]
@@ -163,58 +166,38 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         layers[(k, 0)] = c.points - {base}
         layers[(k, 1)] = part.internal
         layers[(k, 2)] = part.external - t
-    system = LayerSystem(base=base, conics=conics, tangents=tangents, layers=layers)
-    _layer_cache[key] = system
-    return system
+    return LayerSystem(base=base, conics=conics, tangents=tangents, layers=layers)
 
 
-_elation_cache: dict[tuple[int, Point, Label], dict[Point, Point]] = {}
-
-
-def layer_elation(model: VeroneseModel, base: Point, k: Label) -> dict[Point, Point]:
+@lru_cache(maxsize=None)
+def layer_elation(model: VeroneseModel, base: Point, k: int) -> dict[Point, Point]:
     """The plane elation with centre at the base and axis the tangent there
     that cycles layer 0 -> 1 -> 2 -> 0, as an explicit permutation of the 13
-    points of the conic plane."""
-    key = (id(model), base, k)
-    if key in _elation_cache:
-        return _elation_cache[key]
+    points of the conic plane.
+
+    It is the perspectivity sending one conic point to its internal partner;
+    that it cycles the three layers of conic_layers is checked, not assumed.
+    """
     system = conic_layers(model, base)
-    c = system.conics[k]
-    plane = c.plane
-    actual = pg.flat_points(plane)
-    coeff_of = {p: pg.flat_coordinates(plane, p) for p in actual}
-    centre = coeff_of[base]
-    axis_rows = gf3.mat([coeff_of[p] for p in sorted(system.tangents[k])])
-    (axis,) = gf3.nullspace(axis_rows)
-    seed = next(iter(system.layers[(k, 0)]))
-    for t in (1, 2):
-        m = tuple(
-            tuple((int(i == j) + t * axis[i] * centre[j]) % 3 for j in range(3))
-            for i in range(3)
-        )
-        perm = {
-            p: _from_coeff(plane, pg.apply_collineation(m, coeff_of[p])) for p in actual
-        }
-        if perm[seed] in system.layers[(k, 1)]:
-            for j in (0, 1, 2):
-                source = system.layers[(k, j)]
-                target = system.layers[(k, (j + 1) % 3)]
-                assert {perm[p] for p in source} == target
-            _elation_cache[key] = perm
-            return perm
-    raise AssertionError("no elation cycles the layers")
-
-
-def _from_coeff(plane, coeff: Point) -> Point:
-    v = [0] * len(plane[0])
-    for c, row in zip(coeff, plane):
-        for j in range(len(v)):
-            v[j] = (v[j] + c * row[j]) % 3
-    return pg.canonical_point(v)
+    plane = system.conics[k].plane
+    coeff_of = {p: pg.flat_coordinates(plane, p) for p in pg.flat_points(plane)}
+    point_of = {c: p for p, c in coeff_of.items()}
+    (axis,) = gf3.nullspace(gf3.mat([coeff_of[p] for p in sorted(system.tangents[k])]))
+    seed = min(system.layers[(k, 0)])
+    partner = internal_partner(model, base, seed)
+    m = pg.perspectivity(coeff_of[base], axis, (coeff_of[seed], coeff_of[partner]))
+    perm = {p: point_of[pg.apply_collineation(m, c)] for p, c in coeff_of.items()}
+    for j in (0, 1, 2):
+        if {perm[p] for p in system.layers[(k, j)]} != system.layers[(k, (j + 1) % 3)]:
+            raise ValueError(
+                f"the elation of conic {LABEL_NAMES[k]} at {base} does not carry "
+                f"layer {j} onto layer {(j + 1) % 3}"
+            )
+    return perm
 
 
 def elation_power(
-    model: VeroneseModel, base: Point, k: Label, e: int
+    model: VeroneseModel, base: Point, k: int, e: int
 ) -> dict[Point, Point]:
     kappa = layer_elation(model, base, k)
     perm = {p: p for p in kappa}
@@ -223,60 +206,28 @@ def elation_power(
     return perm
 
 
-def _transport_matrix(model: VeroneseModel, base: Point) -> gf3.Matrix:
-    """A plane collineation matrix carrying (1,0,0) to the base preimage,
-    completed deterministically with standard basis rows."""
-    pre = _preimage(model, base)
-    rows = [pre]
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        if len(rows) == 3:
-            break
-        if gf3.rank(gf3.mat(rows + [e])) > len(rows):
-            rows.append(e)
-    return gf3.mat(rows)
-
-
-def _default_label_of_line(line: Hyperplane) -> Label:
-    duals = {(0, 0, 1): 0, (0, 1, 2): 1, (0, 1, 1): 2, (0, 1, 0): inf}
-    return duals[line]
-
-
-def extended_elation(model: VeroneseModel, base: Point, k: Label) -> Collineation:
-    """The space collineation with centre at the base and axis the osculating
+def extended_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
+    """The space elation with centre at the base and axis the osculating
     prime of conic k that restricts to the identity on conic k's plane and to
-    a nontrivial layer elation on each of the other three.
+    the first power of the layer elation on each of the other three.
 
-    For the default base and k = 0 this is the literal matrix BASE_EXTENSION;
-    the other labels are conjugates of it under lifted plane collineations
-    (fixing the base preimage and carrying the label-0 line to the label-k
-    line).  Other base points are handled by transporting the whole system.
-    The restriction behaviour is asserted, not assumed.
+    It is the perspectivity that agrees with the next label's layer elation
+    on one point; the restriction to all four planes is checked, not assumed.
+    For the default base and k = 0 it is the literal BASE_EXTENSION.
     """
-    if base != DEFAULT_BASE:
-        h = _transport_matrix(model, base)
-        g = lift_collineation(h)
-        the_line = labeled_conics(model, base)[k].preimage_line
-        # pull the line back through h: duals transform by the transpose
-        line_at_default = pg.canonical_point(gf3.vec_mat(the_line, gf3.transpose(h)))
-        k0 = _default_label_of_line(line_at_default)
-        mu0 = extended_elation(model, DEFAULT_BASE, k0)
-        mu = pg.compose(pg.compose(pg.inverse(g), mu0), g)
-    elif k == 0:
-        mu = BASE_EXTENSION
-    else:
-        conjugators = {
-            1: ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
-            2: ((1, 0, 0), (0, 1, 2), (0, 0, 1)),
-            inf: ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
-        }
-        g = lift_collineation(gf3.mat(conjugators[k]))
-        mu = pg.compose(pg.compose(pg.inverse(g), BASE_EXTENSION), g)
+    system = conic_layers(model, base)
+    k_next = (k + 1) % len(LABEL_ORDER)
+    x = min(system.layers[(k_next, 0)])
+    kappa = layer_elation(model, base, k_next)
+    axis = model.osculating_primes[system.conics[k]]
+    mu = pg.perspectivity(base, axis, (x, kappa[x]))
     powers = induced_layer_powers(model, base, mu)
-    pos = LABEL_ORDER.index(k)
-    if powers is None or powers[pos] != 0 or any(
-        e == 0 for i, e in enumerate(powers) if i != pos
-    ):
-        raise AssertionError("conjugate does not restrict to the expected elations")
+    expected = tuple(int(i != k) for i in LABEL_ORDER)
+    if powers != expected:
+        raise ValueError(
+            f"extension of conic {LABEL_NAMES[k]} at {base} induces powers {powers}, "
+            f"not {expected}"
+        )
     return mu
 
 
@@ -289,19 +240,13 @@ def induced_layer_powers(
     system = conic_layers(model, base)
     out = []
     for k in LABEL_ORDER:
-        plane_pts = set(pg.flat_points(system.conics[k].plane))
-        perm = {}
-        for p in plane_pts:
-            q = pg.apply_collineation(g, p)
-            if q not in plane_pts:
-                return None
-            perm[p] = q
-        for e in (0, 1, 2):
-            if perm == elation_power(model, base, k, e):
-                out.append(e)
-                break
-        else:
+        plane_pts = pg.flat_points(system.conics[k].plane)
+        perm = {p: pg.apply_collineation(g, p) for p in plane_pts}
+        powers = (e for e in (0, 1, 2) if perm == elation_power(model, base, k, e))
+        e = next(powers, None)
+        if e is None:
             return None
+        out.append(e)
     return tuple(out)
 
 
@@ -330,22 +275,17 @@ def hyperplane_profile(points) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-_profile_cache: dict[tuple[int, Point], dict[int, dict[int, int]]] = {}
-
-
+@lru_cache(maxsize=None)
 def reference_profiles(model: VeroneseModel, base: Point) -> dict[int, dict[int, int]]:
     """The three per-class hyperplane profiles, computed from one
     representative each; they must be pairwise distinct."""
-    key = (id(model), base)
-    if key not in _profile_cache:
-        reps = {0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (2, 0, 0, 0)}
-        profiles = {
-            cls: hyperplane_profile(twelve_set(model, base, q))
-            for cls, q in reps.items()
-        }
-        assert len({tuple(p.items()) for p in profiles.values()}) == 3
-        _profile_cache[key] = profiles
-    return _profile_cache[key]
+    reps = {0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (2, 0, 0, 0)}
+    profiles = {
+        cls: hyperplane_profile(twelve_set(model, base, q)) for cls, q in reps.items()
+    }
+    if len({tuple(p.items()) for p in profiles.values()}) != 3:
+        raise ValueError(f"class profiles at {base} are not distinct: {profiles}")
+    return profiles
 
 
 def classify(model: VeroneseModel, base: Point, s: TwelveSet) -> str:
@@ -395,7 +335,8 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     induced: dict[Collineation, Quadruple] = {}
     for g in sorted(group):
         powers = induced_layer_powers(model, base, g)
-        assert powers is not None, "group element does not preserve the conic planes"
+        if powers is None:
+            raise ValueError(f"group element {g} does not induce layer elations")
         induced[g] = powers
     sums_ok = all(sum(q) % 3 == 0 for q in induced.values())
     bijective = len(set(induced.values())) == len(group)
@@ -431,7 +372,7 @@ def default_projection_target(base: Point) -> Hyperplane:
     for h in pg.enumerate_hyperplanes(5):
         if not pg.incident(base, h):
             return h
-    raise AssertionError("unreachable")
+    raise ValueError(f"every prime contains {base}")
 
 
 def project_from_base(
@@ -451,10 +392,13 @@ def project_from_base(
 
     def project(x: Point) -> Point:
         hits = [p for p in pg.line_through(base, x) if pg.incident(p, target)]
-        assert len(hits) == 1
+        if len(hits) != 1:
+            raise ValueError(
+                f"the line from the base through {x} meets the target {len(hits)} times"
+            )
         return hits[0]
 
-    lines: dict[Label, tuple[Point, ...]] = {}
+    lines: dict[int, tuple[Point, ...]] = {}
     for k in LABEL_ORDER:
         line_flat = pg.meet(system.conics[k].plane, target_flat)
         lines[k] = tuple(sorted(pg.flat_points(line_flat)))

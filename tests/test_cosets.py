@@ -1,5 +1,5 @@
+import dataclasses
 import itertools
-from math import inf
 
 import pytest
 
@@ -26,8 +26,8 @@ def system(model, base):
 
 def test_labels_follow_the_direction_rule(model, base, system):
     # label k belongs to the conic over the line through (1,0,0) and (0,1,k),
-    # with (0,0,1) for inf
-    directions = {0: (0, 1, 0), 1: (0, 1, 1), 2: (0, 1, 2), inf: (0, 0, 1)}
+    # with (0,0,1) for label 3 ("inf")
+    directions = {0: (0, 1, 0), 1: (0, 1, 1), 2: (0, 1, 2), 3: (0, 0, 1)}
     for k, direction in directions.items():
         line = system.conics[k].preimage_line
         assert pg.incident((1, 0, 0), line)
@@ -61,7 +61,7 @@ def test_layers_rejects_non_surface_base(model):
         cosets.conic_layers(model, (1, 1, 0, 0, 0, 0))
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER)
+@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
 def test_elation_fixes_base_and_tangent(model, base, system, k):
     kappa = cosets.layer_elation(model, base, k)
     assert kappa[base] == base
@@ -69,7 +69,7 @@ def test_elation_fixes_base_and_tangent(model, base, system, k):
         assert kappa[p] == p
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER)
+@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
 def test_elation_cycles_layers_and_cubes_to_identity(model, base, system, k):
     kappa = cosets.layer_elation(model, base, k)
     for j in (0, 1, 2):
@@ -78,13 +78,32 @@ def test_elation_cycles_layers_and_cubes_to_identity(model, base, system, k):
     assert cosets.elation_power(model, base, k, 3) == {p: p for p in kappa}
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER)
+@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
 def test_elation_restricted_to_conic_agrees_with_internal_partner(
     model, base, system, k
 ):
     kappa = cosets.layer_elation(model, base, k)
     for y in system.layers[(k, 0)]:
         assert kappa[y] == capmod.internal_partner(model, base, y)
+
+
+def test_layer_elation_rejects_swapped_layers(model, base, monkeypatch):
+    # with layers 1 and 2 of conic 3 swapped, the inverse elation would still
+    # cycle them; the elation is pinned by the internal partner, so it fails
+    true = cosets.conic_layers(model, base)
+    layers = dict(true.layers)
+    layers[(3, 1)], layers[(3, 2)] = true.layers[(3, 2)], true.layers[(3, 1)]
+    forged = dataclasses.replace(true, layers=layers)
+    cached = (cosets.conic_layers, cosets.layer_elation, cosets.reference_profiles)
+    for fn in cached:
+        fn.cache_clear()
+    monkeypatch.setattr(cosets, "conic_layers", lambda m, b: forged)
+    try:
+        with pytest.raises(ValueError, match="conic inf "):
+            cosets.layer_elation(model, base, 3)
+    finally:
+        for fn in cached:
+            fn.cache_clear()
 
 
 def test_next_layer_is_internal_points_of_previous_layer_conic(
@@ -123,7 +142,7 @@ def test_base_extension_restricts_to_first_powers_elsewhere(model, base):
     assert cosets.induced_layer_powers(model, base, mu0) == (0, 1, 1, 1)
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER)
+@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
 def test_extended_elations_have_expected_restriction_shape(model, base, k):
     mu = cosets.extended_elation(model, base, k)
     powers = cosets.induced_layer_powers(model, base, mu)
@@ -134,7 +153,7 @@ def test_extended_elations_have_expected_restriction_shape(model, base, k):
     assert sum(powers) % 3 == 0
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER)
+@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
 def test_extended_elation_is_a_perspectivity(model, base, system, k):
     # fixes the osculating prime of conic k pointwise and the base linewise
     mu = cosets.extended_elation(model, base, k)
