@@ -124,16 +124,12 @@ def build_cap_from_formula(model: VeroneseModel) -> CapSet:
 def build_dual_cap(model: VeroneseModel, base: Point) -> DualCap:
     """The 12 primes dual to the cap: the 9 osculating primes along conics
     missing the base plus the 3 primes meeting the surface in the base only
-    (found by exhaustive scan)."""
+    (found by a scan of all primes)."""
     if not model.is_surface_point(base):
         raise ValueError("base must be a surface point")
-    primes = {
-        model.osculating_primes[c] for c in model.conics if base not in c.points
-    }
-    surface = set(model.points)
-    for h in pg.enumerate_hyperplanes(5):
-        if all((p == base) == pg.incident(p, h) for p in surface):
-            primes.add(h)
+    primes = {model.osculating_primes[c] for c in model.conics if base not in c.points}
+    singletons = pg.hyperplanes_meeting(5, model.points, 1)
+    primes |= {h for h in singletons if pg.incident(base, h)}
     return DualCap(primes=frozenset(primes))
 
 
@@ -144,28 +140,16 @@ def _point_set(cap: CapSet | Iterable[Point]) -> frozenset[Point]:
 def blocks(cap: CapSet | Iterable[Point]) -> Design:
     """All 6-point hyperplane sections of a 12-point set, with carriers."""
     pts = sorted(_point_set(cap))
-    mask = pg.points_mask(5, pts)
     out = []
-    for h, hmask in zip(pg.enumerate_hyperplanes(5), pg.hyperplane_point_masks(5)):
-        if (hmask & mask).bit_count() == 6:
-            section = frozenset(p for p in pts if pg.incident(p, h))
-            out.append(Block(points=section, prime=h))
+    for h in pg.hyperplanes_meeting(5, pts, 6):
+        section = frozenset(p for p in pts if pg.incident(p, h))
+        out.append(Block(points=section, prime=h))
     return Design(points=tuple(pts), blocks=tuple(out))
-
-
-def empty_prime_count(cap: CapSet | Iterable[Point]) -> int:
-    mask = pg.points_mask(5, _point_set(cap))
-    return sum(1 for hmask in pg.hyperplane_point_masks(5) if not (hmask & mask))
 
 
 def missed_primes(cap: CapSet | Iterable[Point]) -> tuple[Hyperplane, ...]:
     """The primes carrying no point of the set, in enumeration order."""
-    mask = pg.points_mask(5, _point_set(cap))
-    return tuple(
-        h
-        for h, hmask in zip(pg.enumerate_hyperplanes(5), pg.hyperplane_point_masks(5))
-        if not (hmask & mask)
-    )
+    return pg.hyperplanes_meeting(5, _point_set(cap), 0)
 
 
 def is_cap(points: Iterable[Point]) -> bool:

@@ -13,17 +13,26 @@ import sys
 
 from . import cap as capmod
 from . import cosets, golay, pg
-from .veronese import build_model, veronese_map
+from .veronese import build_model, chordal_cubic_contains, veronese_map
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = [int(t) for t in text.replace(":", ",").split(",")]
-    if len(parts) != 3 or all(v % 3 == 0 for v in parts):
-        raise argparse.ArgumentTypeError("need a nonzero triple like 1,0,0")
-    return tuple(v % 3 for v in parts)
+def _point_arg(n: int):
+    """An argparse type reading a point of PG(n,3), with ',' or ':' separators."""
+    example = ":".join(["1"] + ["0"] * n)
+
+    def parse(text: str) -> pg.Point:
+        try:
+            p = pg.parse_point(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e))
+        if len(p) != n + 1:
+            raise argparse.ArgumentTypeError(f"need {n + 1} coordinates like {example}")
+        return p
+
+    return parse
 
 
 def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
@@ -33,25 +42,14 @@ def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
     return tuple(parts)
 
 
-def _parse_prime(text: str) -> pg.Hyperplane:
-    try:
-        h = pg.parse_point(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
-    if len(h) != 6:
-        raise argparse.ArgumentTypeError("need six coordinates like 1:0:0:0:0:0")
-    return h
-
-
 def _fmt(p) -> str:
     return pg.format_point(p)
 
 
 def _ordered_cap_points(model, preimage) -> list[pg.Point]:
     """Cap points in parameter-domain lexicographic order."""
-    pre = pg.canonical_point(preimage)
-    base = veronese_map(pre)
-    domain = [x for x in pg.enumerate_points(2) if x != pre]
+    base = veronese_map(preimage)
+    domain = [x for x in pg.enumerate_points(2) if x != preimage]
     return [capmod.internal_partner(model, base, veronese_map(x)) for x in domain]
 
 
@@ -187,8 +185,6 @@ def cmd_classify(args) -> tuple[int, dict, list[str]]:
 def cmd_scan_cosets(args) -> tuple[int, dict, list[str]]:
     model = build_model()
     base = veronese_map(args.preimage)
-    from .veronese import chordal_cubic_contains
-
     rows = []
     for q in cosets.all_quadruples():
         s = cosets.twelve_set(model, base, q)
@@ -224,6 +220,9 @@ def cmd_analyze_r(args) -> tuple[int, dict, list[str]]:
     base = veronese_map(args.preimage)
     if sum(args.quadruple) % 3 != 2:
         print("analyze-r needs a quadruple with sum 2 mod 3", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
+    if args.target is not None and pg.incident(base, args.target):
+        print("analyze-r needs a --target prime off the base point", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
     s = cosets.twelve_set(model, base, args.quadruple)
     er = cosets.analyze_exotic(model, base, s, target=args.target)
@@ -296,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         if preimage:
             p.add_argument(
                 "--preimage",
-                type=_parse_triple,
-                default=(1, 0, 0),
+                type=_point_arg(2),
+                default=capmod.DEFAULT_BASE_PREIMAGE,
                 help="parameter-plane preimage of the base point (default 1,0,0)",
             )
         if quadruple:
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         if target:
             p.add_argument(
                 "--target",
-                type=_parse_prime,
+                type=_point_arg(5),
                 default=None,
                 help="projection prime, colon format (default: first prime off the base)",
             )

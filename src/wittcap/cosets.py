@@ -27,6 +27,7 @@ minus the transversal.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,7 +181,7 @@ def layer_elation(model: VeroneseModel, base: Point, k: int) -> dict[Point, Poin
     """
     system = conic_layers(model, base)
     plane = system.conics[k].plane
-    coeff_of = {p: pg.flat_coordinates(plane, p) for p in pg.flat_points(plane)}
+    coeff_of = dict(zip(pg.flat_points(plane), pg.enumerate_points(2)))
     point_of = {c: p for p, c in coeff_of.items()}
     (axis,) = gf3.nullspace(gf3.mat([coeff_of[p] for p in sorted(system.tangents[k])]))
     seed = min(system.layers[(k, 0)])
@@ -267,12 +268,7 @@ def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
 def hyperplane_profile(points) -> dict[int, int]:
     """Histogram of |prime and set| over all 364 primes of PG(5,3)."""
     pts = points.points if isinstance(points, TwelveSet) else points
-    mask = pg.points_mask(5, pts)
-    hist: dict[int, int] = {}
-    for hmask in pg.hyperplane_point_masks(5):
-        c = (hmask & mask).bit_count()
-        hist[c] = hist.get(c, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(sorted(Counter(pg.section_sizes(5, pts)).items()))
 
 
 @lru_cache(maxsize=None)
@@ -369,10 +365,7 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
 
 def default_projection_target(base: Point) -> Hyperplane:
     """First prime in enumeration order that misses the base point."""
-    for h in pg.enumerate_hyperplanes(5):
-        if not pg.incident(base, h):
-            return h
-    raise ValueError(f"every prime contains {base}")
+    return pg.hyperplanes_meeting(5, [base], 0)[0]
 
 
 def project_from_base(
@@ -433,12 +426,7 @@ def analyze_exotic(
     common point, and the projection picture from that point."""
     if classify(model, base, s) != "exotic":
         raise ValueError("not an exotic (sum 2 mod 3) twelve-set")
-    mask = pg.points_mask(5, s.points)
-    primes = tuple(
-        h
-        for h, hmask in zip(pg.enumerate_hyperplanes(5), pg.hyperplane_point_masks(5))
-        if (hmask & mask).bit_count() == 6
-    )
+    primes = pg.hyperplanes_meeting(5, s.points, 6)
     common = gf3.nullspace(gf3.mat(primes))
     if len(common) != 1:
         raise ValueError("six-point primes do not meet in a single point")

@@ -68,7 +68,7 @@ def point_index(n: int) -> dict[Point, int]:
 @lru_cache(maxsize=None)
 def hyperplane_point_masks(n: int) -> tuple[int, ...]:
     """For each hyperplane (enumeration order), the incident points as a bitmask
-    over point indices.  Backs all the 364-prime scans."""
+    over point indices.  Its only reader is section_sizes."""
     points = enumerate_points(n)
     masks = []
     for h in enumerate_hyperplanes(n):
@@ -80,12 +80,20 @@ def hyperplane_point_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def points_mask(n: int, pts: Iterable[Point]) -> int:
+def section_sizes(n: int, pts: Iterable[Point]) -> tuple[int, ...]:
+    """|h and pts| for every hyperplane, in enumeration order.  The points
+    must be canonical; a repeated point counts once."""
     idx = point_index(n)
-    m = 0
+    mask = 0
     for p in pts:
-        m |= 1 << idx[p]
-    return m
+        mask |= 1 << idx[p]
+    return tuple((hmask & mask).bit_count() for hmask in hyperplane_point_masks(n))
+
+
+def hyperplanes_meeting(n: int, pts: Iterable[Point], k: int) -> tuple[Hyperplane, ...]:
+    """The hyperplanes carrying exactly k of the points, in enumeration order."""
+    sizes = section_sizes(n, pts)
+    return tuple(h for h, size in zip(enumerate_hyperplanes(n), sizes) if size == k)
 
 
 def line_through(a: Point, b: Point) -> tuple[Point, ...]:
@@ -113,31 +121,11 @@ def flat_dim(f: Flat) -> int:
     return len(f) - 1
 
 
-def flat_contains(f: Flat, p: Sequence[int]) -> bool:
-    """Membership via the pivot trick: rref basis rows have unit pivot columns,
-    so the candidate coefficients are read off directly."""
-    ncols = len(p)
-    pivots = [next(c for c in range(ncols) if row[c]) for row in f]
-    coeffs = [p[c] for c in pivots]
-    combo = [0] * ncols
-    for c, row in zip(coeffs, f):
-        for j in range(ncols):
-            combo[j] = (combo[j] + c * row[j]) % 3
-    return tuple(combo) == tuple(x % 3 for x in p)
-
-
-def flat_coordinates(f: Flat, p: Sequence[int]) -> Point:
-    """Coefficients of a flat point w.r.t. the rref basis, as a canonical
-    point of the coefficient space."""
-    if not flat_contains(f, p):
-        raise ValueError("point is not in the flat")
-    ncols = len(p)
-    pivots = [next(c for c in range(ncols) if row[c]) for row in f]
-    return canonical_point(tuple(p[c] for c in pivots))
-
-
 def flat_points(f: Flat) -> tuple[Point, ...]:
-    """All canonical points of a flat, ordered by coefficient enumeration."""
+    """All canonical points of a flat, ordered by coefficient enumeration: the
+    i-th point combines the rref rows with coefficients enumerate_points(k-1)[i],
+    so zip(flat_points(f), enumerate_points(k-1)) pairs points with their
+    coordinates in the flat."""
     k = len(f)
     out = []
     for coeff in enumerate_points(k - 1):

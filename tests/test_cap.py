@@ -149,7 +149,7 @@ def test_dual_cap_contains_the_nine_osculating_primes(model, base, dual_cap):
 
 def test_dual_cap_equals_missed_primes(cap, dual_cap):
     assert set(capmod.missed_primes(cap)) == dual_cap.primes
-    assert capmod.empty_prime_count(cap) == 12
+    assert len(capmod.missed_primes(cap)) == 12
 
 
 def test_no_incidence_between_cap_and_dual_cap(cap, dual_cap):
@@ -164,6 +164,7 @@ def test_full_prime_scan_has_exactly_12_misses(cap):
     assert sizes.count(0) == 12
     assert sizes.count(6) == 132
     assert sorted(set(sizes)) == [0, 3, 6]
+    assert tuple(sizes) == pg.section_sizes(5, cap.points)
 
 
 def test_osculating_primes_through_base_cut_three_cap_points(model, base, cap):

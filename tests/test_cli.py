@@ -106,13 +106,11 @@ def test_analyze_r_rejects_wrong_class():
     assert err.value.code == 2
 
 
-def test_analyze_r_bad_target_is_verification_failure(capsys):
-    # a projection target through the base point is rejected at exit code 1
-    code, out = run(
-        capsys, "analyze-r", "--quadruple", "2,0,0,0", "--target", "0:0:0:0:0:1"
-    )
-    assert code == 1
-    assert "FAIL" in out
+def test_analyze_r_bad_target_is_usage_error():
+    # a projection target through the base point is bad input, not a failed check
+    with pytest.raises(SystemExit) as err:
+        cli.main(["analyze-r", "--quadruple", "2,0,0,0", "--target", "0:0:0:0:0:1"])
+    assert err.value.code == 2
 
 
 def test_dump_veronese(capsys):
@@ -133,6 +131,9 @@ def test_usage_errors_exit_2():
         ["classify"],                      # missing --quadruple
         ["classify", "--quadruple", "9,0,0,0"],
         ["build-cap", "--preimage", "0,0,0"],
+        ["build-cap", "--preimage", "1,0"],
+        ["build-cap", "--preimage", "1,0,0,0"],
+        ["analyze-r", "--quadruple", "2,0,0,0", "--target", "1:0:0"],
         ["golay"],                         # needs exactly one mode flag
         ["no-such-command"],
     ):

@@ -56,6 +56,22 @@ def test_every_hyperplane_of_pg53_has_121_points():
     assert all(m.bit_count() == 121 for m in masks)
 
 
+@pytest.mark.parametrize("repeats", [0, 3])
+def test_section_sizes_match_brute_force_incidence(repeats):
+    rng = random.Random(7)
+    pts = rng.sample(pg.enumerate_points(5), 12)
+    pts += pts[:repeats]
+    sizes = tuple(
+        sum(1 for p in set(pts) if pg.incident(p, h))
+        for h in pg.enumerate_hyperplanes(5)
+    )
+    assert pg.section_sizes(5, pts) == sizes
+    for k in set(sizes):
+        assert pg.hyperplanes_meeting(5, pts, k) == tuple(
+            h for h, size in zip(pg.enumerate_hyperplanes(5), sizes) if size == k
+        )
+
+
 def test_line_through_examples():
     a = (1, 0, 0, 0, 0, 0)
     b = (0, 0, 0, 1, 0, 0)
@@ -73,7 +89,7 @@ def test_every_line_has_four_points():
         line = pg.line_through(a, b)
         assert len(set(line)) == 4
         for p in line:
-            assert pg.flat_contains(pg.span([a, b]), p)
+            assert pg.span([a, b, p]) == pg.span([a, b])
 
 
 def test_span_of_one_point_is_that_point():
@@ -118,10 +134,10 @@ def test_flat_points_and_coordinates_round_trip():
     f = pg.span([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)])
     pts = pg.flat_points(f)
     assert len(pts) == 13
-    for p in pts:
-        assert pg.flat_contains(f, p)
-        c = pg.flat_coordinates(f, p)
-        assert len(c) == 3
+    assert len(set(pts)) == 13
+    for p, c in zip(pts, pg.enumerate_points(2)):
+        assert pg.span(list(f) + [p]) == f
+        assert p == pg.canonical_point(gf3.vec_mat(c, f))
 
 
 def test_apply_identity_fixes_every_point():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wittcap import cap as capmod
 from wittcap import gf3, pg
 from wittcap.veronese import (
     chordal_cubic_contains,
@@ -135,15 +136,21 @@ def test_internal_points_are_the_diagonal_points(model):
 
 
 def test_singleton_surface_sections_per_point(model):
-    # for each surface point, exactly 3 primes meet the surface in it alone
+    # for each surface point, exactly 3 primes meet the surface in it alone,
+    # and they are the dual-cap primes other than the 9 osculating ones
     surface = set(model.points)
     for p in model.points:
-        count = sum(
-            1
+        singletons = {
+            h
             for h in pg.enumerate_hyperplanes(5)
             if all((q == p) == pg.incident(q, h) for q in surface)
-        )
-        assert count == 3
+        }
+        assert len(singletons) == 3
+        osculating = {
+            model.osculating_primes[c] for c in model.conics if p not in c.points
+        }
+        assert len(osculating) == 9
+        assert singletons == capmod.build_dual_cap(model, p).primes - osculating
 
 
 def test_singleton_section_iff_tangent_line_sections(model):
