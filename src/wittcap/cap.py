@@ -19,6 +19,7 @@ GF(3).  Both routes are implemented and must agree point for point.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -164,39 +165,36 @@ def is_cap(points: Iterable[Point]) -> bool:
 def verify_witt(design: Design) -> WittReport:
     """Check the 5-(12,6,1) axioms by full enumeration of the 792 5-subsets.
 
+    Cover counts are read from a count of the blocks' own 4- and 5-subsets.
     Also reports the 4-subset covering number, which must be constant.  The
     first violating 5-subset (with its cover count) is recorded on failure.
     """
     pts = design.points
-    point_pos = {p: i for i, p in enumerate(pts)}
-    block_masks = []
-    sizes_ok = True
-    for b in design.blocks:
-        if len(b.points) != 6:
-            sizes_ok = False
-        block_masks.append(sum(1 << point_pos[p] for p in b.points))
-    five_ok = True
-    violation = None
-    for sub in itertools.combinations(range(len(pts)), 5):
-        smask = sum(1 << i for i in sub)
-        cover = sum(1 for bm in block_masks if smask & bm == smask)
-        if cover != 1:
-            five_ok = False
-            violation = (tuple(pts[i] for i in sub), cover)
-            break
+    cover = Counter(
+        frozenset(sub)
+        for b in design.blocks
+        for k in (4, 5)
+        for sub in itertools.combinations(b.points, k)
+    )
+    violation = next(
+        (
+            (sub, cover[frozenset(sub)])
+            for sub in itertools.combinations(pts, 5)
+            if cover[frozenset(sub)] != 1
+        ),
+        None,
+    )
     quad_counts = set()
-    if five_ok:
-        for sub in itertools.combinations(range(len(pts)), 4):
-            smask = sum(1 << i for i in sub)
-            quad_counts.add(sum(1 for bm in block_masks if smask & bm == smask))
+    if violation is None:
+        quad_counts = {cover[frozenset(sub)] for sub in itertools.combinations(pts, 4)}
     quad_constant = len(quad_counts) == 1
-    ok = len(pts) == 12 and sizes_ok and five_ok
+    sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
-        ok=ok,
+        ok=len(pts) == 12 and sizes_ok and violation is None,
         point_count=len(pts),
         block_count=len(design.blocks),
         block_sizes_ok=sizes_ok,
-        five_cover_unique=five_ok,
+        five_cover_unique=violation is None,
         first_violation=violation,
         quad_cover_value=quad_counts.pop() if quad_constant else None,
         quad_cover_constant=quad_constant,
@@ -244,21 +242,20 @@ def vector_identity_check() -> bool:
 
 
 def automorphism_order(design: Design) -> int:
-    """Order of the permutation group of the design's points preserving the
-    block system.
+    """Order of the group of permutations of the design's points that map
+    the set of blocks onto itself (a repeated block counts once).
 
     Counted along a point-stabilizer chain: the order is the product of the
-    orbit sizes of successive base points, and each orbit membership question
-    is settled by a backtracking search over point images with partial-block
-    pruning (the image of every partially assigned block must stay inside
-    some block).  Terminates on arbitrary block systems, degenerate or not.
+    orbit sizes of successive base points.  Each orbit membership question
+    is settled by one prefix search over the base order, with the earlier
+    base points held fixed.  A point is only sent to a point on as many
+    blocks, the image of every partially mapped block must stay inside some
+    block, and a complete map counts only if it permutes the blocks.
     """
     pts = design.points
     n = len(pts)
     point_pos = {p: i for i, p in enumerate(pts)}
-    block_masks = tuple(
-        sum(1 << point_pos[p] for p in b.points) for b in design.blocks
-    )
+    block_masks = sorted({sum(1 << point_pos[p] for p in b.points) for b in design.blocks})
     blocks_of = tuple(
         tuple(bi for bi, bm in enumerate(block_masks) if bm >> i & 1) for i in range(n)
     )
@@ -268,56 +265,39 @@ def automorphism_order(design: Design) -> int:
         for r in range(len(bits) + 1):
             for sub in itertools.combinations(bits, r):
                 coverable.add(sum(1 << i for i in sub))
-
-    # Constrained points first: order the base by block-degree fingerprint.
+    # Constrained points first: order the base by block degree.  An image
+    # must lie on as many blocks as its preimage.
     base = sorted(range(n), key=lambda i: (-len(blocks_of[i]), i))
+    peers = tuple(
+        tuple(v for v in range(n) if len(blocks_of[v]) == len(blocks_of[p]))
+        for p in range(n)
+    )
+    images = [0] * len(block_masks)
 
-    def extends(assigned: dict[int, int]) -> bool:
-        """Is there a full block-preserving permutation extending `assigned`?"""
-        images = [0] * len(block_masks)
-        for p, v in assigned.items():
-            for bi in blocks_of[p]:
-                images[bi] |= 1 << v
-        if any(im not in coverable for im in images):
+    def places(depth: int, v: int, used: int) -> bool:
+        """With base[:depth] mapped as `images` and `used` record, does
+        sending base[depth] to v extend to a block permutation?"""
+        bit = 1 << v
+        mine = blocks_of[base[depth]]
+        if not all((images[bi] | bit) in coverable for bi in mine):
             return False
-        used = 0
-        for v in assigned.values():
-            used |= 1 << v
-        todo = [p for p in base if p not in assigned]
-
-        def dfs(depth: int, used: int) -> bool:
-            if depth == len(todo):
-                return True
-            p = todo[depth]
-            for v in range(n):
-                if used >> v & 1:
-                    continue
-                touched = []
-                ok = True
-                for bi in blocks_of[p]:
-                    new = images[bi] | 1 << v
-                    if new not in coverable:
-                        ok = False
-                        break
-                    touched.append((bi, images[bi]))
-                    images[bi] = new
-                if ok and dfs(depth + 1, used | 1 << v):
-                    return True
-                for bi, old in touched:
-                    images[bi] = old
-            return False
-
-        return dfs(0, used)
+        for bi in mine:
+            images[bi] |= bit
+        used |= bit
+        if depth + 1 == n:
+            found = sorted(images) == block_masks
+        else:
+            nxt = peers[base[depth + 1]]
+            found = any(places(depth + 1, w, used) for w in nxt if not used >> w & 1)
+        for bi in mine:
+            images[bi] ^= bit
+        return found
 
     order = 1
-    fixed: dict[int, int] = {}
-    for p in base:
-        orbit = 0
-        for v in range(n):
-            if v in fixed.values():
-                continue  # earlier base points are held fixed
-            if extends({**fixed, p: v}):
-                orbit += 1
-        order *= orbit
-        fixed[p] = p
+    used = 0
+    for depth, p in enumerate(base):
+        order *= sum(places(depth, v, used) for v in peers[p] if not used >> v & 1)
+        for bi in blocks_of[p]:
+            images[bi] |= 1 << p
+        used |= 1 << p
     return order

@@ -121,20 +121,12 @@ def det3(m: Matrix) -> int:
 
 
 def mat_inv(m: Matrix) -> Matrix:
-    """Inverse of a square matrix via Gauss-Jordan on [m | I]."""
+    """Inverse of a square matrix: the right block of rref([m | I])."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("mat_inv expects a square matrix")
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        if aug[col][col] == 2:
-            aug[col] = [(2 * x) % 3 for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % 3 for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    eye = identity(n)
+    reduced, _ = rref(tuple(tuple(row) + e for row, e in zip(m, eye)))
+    if tuple(row[:n] for row in reduced) != eye:
+        raise ValueError("not invertible")
+    return tuple(row[n:] for row in reduced)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wittcap import cap as capmod
-from wittcap import pg
+from wittcap import gf3, pg
 from wittcap.veronese import classify_conic_plane, veronese_map
 
 EXPECTED_MISSING_PRIME_LITERALS = [
@@ -120,11 +120,18 @@ def test_verify_witt_passes_and_reports_quad_cover(design):
 
 def test_verify_witt_fails_with_witness_on_perturbed_set(model, cap):
     tampered = sorted(cap.points)[:11] + [model.points[0]]
-    report = capmod.verify_witt(capmod.blocks(tampered))
-    assert not report.ok
-    assert report.first_violation is not None
-    subset, count = report.first_violation
-    assert len(subset) == 5 and count != 1
+    design = capmod.blocks(tampered)
+    report = capmod.verify_witt(design)
+    assert not report.ok and not report.five_cover_unique
+    # the witness is the first 5-subset, in combinations order, not covered once
+    block_sets = [b.points for b in design.blocks]
+    for five in itertools.combinations(design.points, 5):
+        cover = sum(1 for b in block_sets if set(five) <= b)
+        if cover != 1:
+            break
+    assert report.first_violation == (five, cover)
+    assert report.quad_cover_value is None
+    assert report.quad_cover_constant is False
 
 
 def test_dual_cap_size_and_literal_primes(dual_cap):
@@ -206,14 +213,64 @@ def test_automorphism_order_is_95040(design):
 
 
 def test_automorphism_order_terminates_on_unstructured_sets():
-    rng = random.Random(7)
-    pts = rng.sample(pg.enumerate_points(5), 12)
-    design = capmod.blocks(pts)
-    order = capmod.automorphism_order(design)
-    assert order >= 1
+    # random 12-sets have little or no symmetry; the order is an invariant,
+    # so a copy moved by a random collineation must give the same one
+    for seed in range(8):
+        rng = random.Random(seed)
+        pts = rng.sample(pg.enumerate_points(5), 12)
+        while True:
+            m = gf3.mat(rng.choices(range(3), k=6) for _ in range(6))
+            if gf3.rank(m) == 6:
+                break
+        moved = [pg.apply_collineation(m, p) for p in pts]
+        design, moved_design = capmod.blocks(pts), capmod.blocks(moved)
+        assert len(design.blocks) == len(moved_design.blocks)
+        order = capmod.automorphism_order(design)
+        assert order == capmod.automorphism_order(moved_design) >= 1
 
 
 def test_automorphism_order_on_blockless_set():
     # no blocks means no constraints: the full symmetric group
     design = capmod.Design(points=tuple(pg.enumerate_points(5)[:4]), blocks=())
     assert capmod.automorphism_order(design) == math.factorial(4)
+
+
+def _brute_force_order(design):
+    """The number of point permutations that map the set of blocks onto itself."""
+    blocks = {b.points for b in design.blocks}
+    count = 0
+    for perm in itertools.permutations(design.points):
+        move = dict(zip(design.points, perm))
+        count += {frozenset(map(move.get, b)) for b in blocks} == blocks
+    return count
+
+
+def test_automorphism_order_matches_brute_force():
+    pts = pg.enumerate_points(5)[:7]
+    p0, p1, p2 = pts[:3]
+
+    def design(points, *blocks):
+        return capmod.Design(
+            points=tuple(points),
+            blocks=tuple(capmod.Block(points=frozenset(b), prime=pts[0]) for b in blocks),
+        )
+
+    # a map sending {p0} into the larger block {p0,p1,p2} is no automorphism
+    witness = design(pts[:3], {p0}, {p0, p1, p2})
+    assert capmod.automorphism_order(witness) == 2
+    cases = [
+        witness,
+        design(pts[:5]),
+        design(pts[:4], set()),
+        design(pts[:5], {p0, p1}, {p0, p1}, {p2}),
+        design(pts[:6], {p0, p1, p2}, {p0}, set(), {p1, p2}),
+    ]
+    rng = random.Random(4)
+    for i in range(120):
+        n = 7 if i % 8 == 0 else rng.randint(1, 6)
+        blocks = [set(rng.sample(pts[:n], rng.randint(0, n))) for _ in range(rng.randint(0, 5))]
+        if blocks and rng.random() < 0.3:
+            blocks.append(blocks[0])
+        cases.append(design(pts[:n], *blocks))
+    for d in cases:
+        assert capmod.automorphism_order(d) == _brute_force_order(d), d
