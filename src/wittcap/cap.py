@@ -259,12 +259,13 @@ def automorphism_order(design: Design) -> int:
     blocks_of = tuple(
         tuple(bi for bi, bm in enumerate(block_masks) if bm >> i & 1) for i in range(n)
     )
-    coverable: set[int] = set()
+    # Every submask of every block, by the walk sub -> (sub - 1) & bm.
+    coverable = {0}
     for bm in block_masks:
-        bits = [i for i in range(n) if bm >> i & 1]
-        for r in range(len(bits) + 1):
-            for sub in itertools.combinations(bits, r):
-                coverable.add(sum(1 << i for i in sub))
+        sub = bm
+        while sub:
+            coverable.add(sub)
+            sub = (sub - 1) & bm
     # Constrained points first: order the base by block degree.  An image
     # must lie on as many blocks as its preimage.
     base = sorted(range(n), key=lambda i: (-len(blocks_of[i]), i))

@@ -144,7 +144,10 @@ def cmd_golay(args) -> tuple[int, dict, list[str]]:
     k = golay.code_rank(code)
     d = golay.minimum_distance(code)
     sd = golay.is_self_dual(code)
-    ok = k == 6 and d == 6 and sd and len(golay.enumerate_codewords(code)) == 729
+    # 729 distinct words checks k = 6 by enumeration, apart from the rref.
+    distinct = len(set(golay.enumerate_codewords(code)))
+    weights_ok = dist == {0: 1, 6: 264, 9: 440, 12: 24}
+    ok = k == 6 and d == 6 and sd and distinct == 729 and weights_ok
     report = {
         "command": "golay",
         "n": 12,

@@ -47,12 +47,15 @@ def transpose(m: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = transpose(b)
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col, strict=True)) % 3 for col in cols)
+        for row in a
+    )
 
 
 def vec_mat(x: Sequence[int], m: Matrix) -> Vector:
     """Row-vector action x * m (the convention used project-wide)."""
-    return tuple(dot(x, col) for col in transpose(m))
+    return tuple(sum(a * b for a, b in zip(x, col, strict=True)) % 3 for col in zip(*m))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

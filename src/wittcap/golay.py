@@ -9,7 +9,6 @@ negation pairs whose supports are exactly the 132 design blocks.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -47,16 +46,22 @@ def code_rank(code: TernaryCode) -> int:
 
 def enumerate_codewords(code: TernaryCode) -> tuple[Vector, ...]:
     """All 3^6 = 729 row-space vectors, in lexicographic order of the
-    coefficient tuples."""
-    return tuple(
-        gf3.vec_mat(a, code.generator)
-        for a in itertools.product((0, 1, 2), repeat=6)
-    )
+    coefficient tuples (the first row's coefficient varies slowest).
+
+    Built by accumulation: each generator row r replaces every word w so
+    far by w, w + r, w + 2r, which appends r's coefficient as the fastest
+    varying digit.
+    """
+    words: list[Vector] = [(0,) * len(code.generator[0])]
+    for r in code.generator:
+        r2 = gf3.vec_scale(2, r)
+        words = [v for w in words for v in (w, gf3.vec_add(w, r), gf3.vec_add(w, r2))]
+    return tuple(words)
 
 
 def weight_distribution(code: TernaryCode) -> dict[int, int]:
     """Hamming weight histogram over the full codeword enumeration."""
-    counts = Counter(sum(1 for x in w if x) for w in enumerate_codewords(code))
+    counts = Counter(len(w) - w.count(0) for w in enumerate_codewords(code))
     return dict(sorted(counts.items()))
 
 

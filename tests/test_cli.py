@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import pytest
 
-from wittcap import cli
+from wittcap import cli, golay
 
 
 def run(capsys, *argv):
@@ -70,6 +71,39 @@ def test_golay_verify(capsys):
     assert "weight 6: 264" in out
     assert "weight 9: 440" in out
     assert "weight 12: 24" in out
+
+
+def _repeat_a_word(words):
+    """Put a second copy of one weight-6 word in place of another one, so the
+    weight counts stay right and only the count of distinct words is off."""
+    six = [i for i, w in enumerate(words) if w.count(0) == 6]
+    out = list(words)
+    out[six[1]] = words[six[0]]
+    return tuple(out)
+
+
+def _swap_in_a_weight_9_word(words):
+    """Replace a weight-6 word by a weight-9 vector outside the code: all 729
+    words stay distinct and only the weight counts are off."""
+    code_words = set(words)
+    outside = next(
+        v for v in itertools.product((0, 1, 2), repeat=12)
+        if v.count(0) == 3 and v not in code_words
+    )
+    out = list(words)
+    out[next(i for i, w in enumerate(words) if w.count(0) == 6)] = outside
+    return tuple(out)
+
+
+@pytest.mark.parametrize("fault", [_repeat_a_word, _swap_in_a_weight_9_word])
+def test_golay_verify_fails_on_a_faulty_enumeration(capsys, monkeypatch, fault):
+    real = golay.enumerate_codewords
+    monkeypatch.setattr(golay, "enumerate_codewords", lambda code: fault(real(code)))
+    code = cli.main(["golay", "--verify", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["k"], report["d"], report["self_dual"]) == (6, 6, True)
+    assert code == 1
+    assert report["result"] == "FAIL"
 
 
 def test_classify_exotic(capsys):

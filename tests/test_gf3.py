@@ -144,3 +144,52 @@ def test_mat_inv_random_round_trip():
 def test_mat_inv_singular():
     with pytest.raises(ValueError, match="not invertible"):
         gf3.mat_inv(gf3.mat([(1, 2), (2, 1)]))
+
+
+def _mat_mul_reference(a, b):
+    """Triple-loop product, independent of gf3's row/column iteration."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            s = 0
+            for k in range(len(b)):
+                s += a[i][k] * b[k][j]
+            row.append(s % 3)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _random_mat(rng, rows, cols):
+    return gf3.mat([[rng.randrange(3) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_products_match_triple_loop_reference():
+    rng = random.Random(11)
+    shapes = [(1, 1, 1), (6, 6, 12), (1, 6, 12)]
+    shapes += [(rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 13)) for _ in range(60)]
+    for r, k, c in shapes:
+        a, b = _random_mat(rng, r, k), _random_mat(rng, k, c)
+        assert gf3.mat_mul(a, b) == _mat_mul_reference(a, b)
+        for x in a:
+            assert gf3.vec_mat(x, b) == _mat_mul_reference((x,), b)[0]
+    # 6x6 collineations, as pg composes and applies them
+    found = 0
+    while found < 10:
+        m, t = _random_mat(rng, 6, 6), _random_mat(rng, 6, 6)
+        if gf3.rank(m) < 6 or gf3.rank(t) < 6:
+            continue
+        found += 1
+        assert gf3.mat_mul(m, t) == _mat_mul_reference(m, t)
+        x = tuple(rng.randrange(3) for _ in range(6))
+        assert gf3.vec_mat(x, m) == _mat_mul_reference((x,), m)[0]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_products_reject_mismatched_inner_dimension(delta):
+    rng = random.Random(12)
+    a, b = _random_mat(rng, 3, 4), _random_mat(rng, 4 + delta, 5)
+    with pytest.raises(ValueError):
+        gf3.mat_mul(a, b)
+    with pytest.raises(ValueError):
+        gf3.vec_mat(a[0], b)

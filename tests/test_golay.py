@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -52,6 +53,31 @@ def test_codeword_enumeration(code):
     # closed under negation
     for w in words:
         assert tuple((2 * x) % 3 for x in w) in as_set
+
+
+def _rank5_code(code):
+    """Seeded 6x12 code of rank 5: the last row is the sum of the first two."""
+    rng = random.Random(5)
+    rows = ()
+    while gf3.rank(rows) != 5:
+        rows = tuple(tuple(rng.randrange(3) for _ in range(12)) for _ in range(5))
+    return golay.TernaryCode(
+        generator=rows + (gf3.vec_add(rows[0], rows[1]),),
+        column_points=code.column_points,
+        column_preimages=code.column_preimages,
+    )
+
+
+@pytest.mark.parametrize("rank5", [False, True], ids=["golay", "rank5"])
+def test_codeword_order_is_coefficient_lex_order(code, rank5):
+    if rank5:
+        code = _rank5_code(code)
+    expected = tuple(
+        gf3.vec_mat(a, code.generator) for a in itertools.product((0, 1, 2), repeat=6)
+    )
+    words = golay.enumerate_codewords(code)
+    assert words == expected  # element by element, duplicates included
+    assert len(set(words)) == (243 if rank5 else 729)
 
 
 def test_weight_distribution_by_independent_enumeration(code):
