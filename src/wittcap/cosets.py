@@ -30,6 +30,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import gf3, pg
 from .cap import internal_partner
@@ -73,9 +75,10 @@ _PLANE_AT_INFINITY: Hyperplane = (1, 0, 0)   # line {x0 = 0} of the parameter pl
 @dataclass(frozen=True, eq=False)
 class LayerSystem:
     base: Point
-    conics: dict[int, Conic]
-    tangents: dict[int, frozenset[Point]]
-    layers: dict[tuple[int, int], frozenset[Point]]
+    conics: Mapping[int, Conic]
+    tangents: Mapping[int, frozenset[Point]]
+    layers: Mapping[tuple[int, int], frozenset[Point]]
+    plane_points: Mapping[int, tuple[Point, ...]]   # pg.flat_points of each conic plane
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,12 @@ def labeled_conics(model: VeroneseModel, base: Point) -> dict[int, Conic]:
 @lru_cache(maxsize=None)
 def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
     """For each conic through the base: layer 0 = conic minus base, layer 1 =
-    internal points, layer 2 = external points off the tangent at the base."""
+    internal points, layer 2 = external points off the tangent at the base.
+    The system is shared by every caller, so its mappings are read-only."""
     conics = labeled_conics(model, base)
     tangents: dict[int, frozenset[Point]] = {}
     layers: dict[tuple[int, int], frozenset[Point]] = {}
+    plane_points: dict[int, tuple[Point, ...]] = {}
     for k, c in conics.items():
         part = classify_conic_plane(c)
         t = tangent_lines(c)[base]
@@ -167,21 +172,27 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         layers[(k, 0)] = c.points - {base}
         layers[(k, 1)] = part.internal
         layers[(k, 2)] = part.external - t
-    return LayerSystem(base=base, conics=conics, tangents=tangents, layers=layers)
+        plane_points[k] = pg.flat_points(c.plane)
+    return LayerSystem(
+        base=base,
+        conics=MappingProxyType(conics),
+        tangents=MappingProxyType(tangents),
+        layers=MappingProxyType(layers),
+        plane_points=MappingProxyType(plane_points),
+    )
 
 
 @lru_cache(maxsize=None)
-def layer_elation(model: VeroneseModel, base: Point, k: int) -> dict[Point, Point]:
+def layer_elation(model: VeroneseModel, base: Point, k: int) -> Mapping[Point, Point]:
     """The plane elation with centre at the base and axis the tangent there
-    that cycles layer 0 -> 1 -> 2 -> 0, as an explicit permutation of the 13
-    points of the conic plane.
+    that cycles layer 0 -> 1 -> 2 -> 0, as an explicit (read-only)
+    permutation of the 13 points of the conic plane.
 
     It is the perspectivity sending one conic point to its internal partner;
     that it cycles the three layers of conic_layers is checked, not assumed.
     """
     system = conic_layers(model, base)
-    plane = system.conics[k].plane
-    coeff_of = dict(zip(pg.flat_points(plane), pg.enumerate_points(2)))
+    coeff_of = dict(zip(system.plane_points[k], pg.enumerate_points(2)))
     point_of = {c: p for p, c in coeff_of.items()}
     (axis,) = gf3.nullspace(gf3.mat([coeff_of[p] for p in sorted(system.tangents[k])]))
     seed = min(system.layers[(k, 0)])
@@ -194,17 +205,27 @@ def layer_elation(model: VeroneseModel, base: Point, k: int) -> dict[Point, Poin
                 f"the elation of conic {LABEL_NAMES[k]} at {base} does not carry "
                 f"layer {j} onto layer {(j + 1) % 3}"
             )
-    return perm
+    return MappingProxyType(perm)
+
+
+@lru_cache(maxsize=None)
+def _elation_powers(
+    model: VeroneseModel, base: Point, k: int
+) -> tuple[tuple[Point, ...], ...]:
+    """The images of conic k's plane points (plane_points order) under the
+    0th, 1st and 2nd power of its layer elation."""
+    kappa = layer_elation(model, base, k)
+    images = [conic_layers(model, base).plane_points[k]]
+    for _ in (1, 2):
+        images.append(tuple(kappa[p] for p in images[-1]))
+    return tuple(images)
 
 
 def elation_power(
     model: VeroneseModel, base: Point, k: int, e: int
 ) -> dict[Point, Point]:
-    kappa = layer_elation(model, base, k)
-    perm = {p: p for p in kappa}
-    for _ in range(e % 3):
-        perm = {p: kappa[q] for p, q in perm.items()}
-    return perm
+    points = conic_layers(model, base).plane_points[k]
+    return dict(zip(points, _elation_powers(model, base, k)[e % 3]))
 
 
 def extended_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
@@ -241,10 +262,9 @@ def induced_layer_powers(
     system = conic_layers(model, base)
     out = []
     for k in LABEL_ORDER:
-        plane_pts = pg.flat_points(system.conics[k].plane)
-        perm = {p: pg.apply_collineation(g, p) for p in plane_pts}
-        powers = (e for e in (0, 1, 2) if perm == elation_power(model, base, k, e))
-        e = next(powers, None)
+        image = tuple(pg.apply_collineation(g, p) for p in system.plane_points[k])
+        powers = _elation_powers(model, base, k)
+        e = next((e for e in (0, 1, 2) if image == powers[e]), None)
         if e is None:
             return None
         out.append(e)
@@ -327,9 +347,9 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     class.  No element induces the all-first-powers quadruple.
     """
     mus = [extended_elation(model, base, k) for k in LABEL_ORDER]
-    group = group_closure(mus)
+    group = sorted(group_closure(mus))
     induced: dict[Collineation, Quadruple] = {}
-    for g in sorted(group):
+    for g in group:
         powers = induced_layer_powers(model, base, g)
         if powers is None:
             raise ValueError(f"group element {g} does not induce layer elations")
@@ -343,7 +363,7 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     witnesses: dict[int, dict[Quadruple, Collineation]] = {0: {}, 1: {}}
     for cls, rep in ((0, (0, 0, 0, 0)), (1, (1, 1, 1, 1))):
         start = twelve_set(model, base, rep).points
-        for g in sorted(group):
+        for g in group:
             image = apply_to_set(g, start)
             q = sets_by_points.get(image)
             if q is not None and q not in witnesses[cls]:
@@ -363,34 +383,25 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     )
 
 
+@lru_cache(maxsize=None)
 def default_projection_target(base: Point) -> Hyperplane:
     """First prime in enumeration order that misses the base point."""
     return pg.hyperplanes_meeting(5, [base], 0)[0]
 
 
-def project_from_base(
-    model: VeroneseModel, base: Point, s: TwelveSet, target: Hyperplane
-) -> ProjectionReport:
-    """Project the set through the base point onto a prime off the base.
-
-    The four conic planes land on four mutually skew lines, the tangent plane
-    on their unique common transversal, and the twelve points on exactly the
-    line points off the transversal.  The stated geometry is verified here
-    and a violation raises.
-    """
+@lru_cache(maxsize=None)
+def _projection_frame(
+    model: VeroneseModel, base: Point, target: Hyperplane
+) -> tuple[Mapping[int, tuple[Point, ...]], tuple[Point, ...], frozenset[Point]]:
+    """The set-independent part of the projection from the base onto the
+    target: the four lines cut by the conic planes (read-only), the
+    transversal cut by the tangent plane, and the line points off the
+    transversal.  The lines must be mutually skew and each must meet the
+    transversal once; a violation raises."""
     if pg.incident(base, target):
         raise ValueError("target prime contains the base point")
     target_flat = pg.flat_from_dual([target])
     system = conic_layers(model, base)
-
-    def project(x: Point) -> Point:
-        hits = [p for p in pg.line_through(base, x) if pg.incident(p, target)]
-        if len(hits) != 1:
-            raise ValueError(
-                f"the line from the base through {x} meets the target {len(hits)} times"
-            )
-        return hits[0]
-
     lines: dict[int, tuple[Point, ...]] = {}
     for k in LABEL_ORDER:
         line_flat = pg.meet(system.conics[k].plane, target_flat)
@@ -405,15 +416,44 @@ def project_from_base(
     for k in LABEL_ORDER:
         if len(set(transversal) & set(lines[k])) != 1:
             raise ValueError("transversal fails to meet a projected line once")
-    image = frozenset(project(x) for x in s.points)
-    expected = frozenset(itertools.chain.from_iterable(lines.values())) - set(
+    off_transversal = frozenset(itertools.chain.from_iterable(lines.values())) - set(
         transversal
     )
-    if image != expected:
+    return MappingProxyType(lines), transversal, off_transversal
+
+
+def _project(base: Point, target: Hyperplane, x: Point) -> Point:
+    """Where the line from the base through x != base meets the target prime:
+    the combination (b.h) x - (x.h) b of the two points, which pairs to zero
+    with h."""
+    bh, xh = gf3.dot(base, target), gf3.dot(x, target)
+    return pg.canonical_point(bh * a - xh * b for a, b in zip(x, base, strict=True))
+
+
+def project_from_base(
+    model: VeroneseModel, base: Point, s: TwelveSet, target: Hyperplane
+) -> ProjectionReport:
+    """Project the set through the base point onto a prime off the base.
+
+    The four conic planes land on four mutually skew lines, the tangent plane
+    on their unique common transversal, and the twelve points on exactly the
+    line points off the transversal.  The stated geometry is verified here
+    and a violation raises.
+    """
+    lines, transversal, off_transversal = _projection_frame(model, base, target)
+    image = set()
+    for x in s.points:
+        if x == base:
+            raise ValueError(f"the set contains the base point {x}")
+        y = _project(base, target, x)
+        if not pg.incident(y, target):
+            raise ValueError(f"{x} projects to {y}, which is off the target")
+        image.add(y)
+    if image != off_transversal:
         raise ValueError("image is not the line points off the transversal")
     return ProjectionReport(
         target=target,
-        lines=lines,
+        lines=dict(lines),
         transversal=transversal,
         image_points=tuple(sorted(image)),
     )

@@ -8,6 +8,7 @@ table or array machinery.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -46,16 +47,17 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("inner dimensions differ")
     cols = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col, strict=True)) % 3 for col in cols)
-        for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) % 3 for col in cols) for row in a)
 
 
 def vec_mat(x: Sequence[int], m: Matrix) -> Vector:
     """Row-vector action x * m (the convention used project-wide)."""
-    return tuple(sum(a * b for a, b in zip(x, col, strict=True)) % 3 for col in zip(*m))
+    if len(x) != len(m):
+        raise ValueError("inner dimensions differ")
+    return tuple(sum(map(mul, x, col)) % 3 for col in zip(*m))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

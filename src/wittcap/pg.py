@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import gf3
 from .gf3 import Matrix, Vector
@@ -61,14 +62,9 @@ def incident(p: Sequence[int], h: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def point_index(n: int) -> dict[Point, int]:
-    return {p: i for i, p in enumerate(enumerate_points(n))}
-
-
-@lru_cache(maxsize=None)
 def hyperplane_point_masks(n: int) -> tuple[int, ...]:
     """For each hyperplane (enumeration order), the incident points as a bitmask
-    over point indices.  Its only reader is section_sizes."""
+    over point indices.  Its only reader is _point_lanes."""
     points = enumerate_points(n)
     masks = []
     for h in enumerate_hyperplanes(n):
@@ -80,14 +76,33 @@ def hyperplane_point_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=None)
+def _point_lanes(n: int) -> Mapping[Point, int]:
+    """For each point, an int holding one byte per hyperplane (enumeration
+    order, lowest byte first): 1 if the point lies on it.  Summing the lanes
+    of distinct points counts them per hyperplane, so a lane must hold a
+    whole hyperplane's (3^n - 1)/2 points without carrying into the next.
+
+    Incidence is symmetric and hyperplanes are enumerated like points, so
+    the lane of point i is the mask of hyperplane i spread to bytes."""
+    if (3**n - 1) // 2 > 255:
+        raise ValueError(f"PG({n},3) hyperplanes hold more than 255 points")
+    width = len(enumerate_points(n))
+    return MappingProxyType({
+        p: int.from_bytes(format(m, f"0{width}b")[::-1].encode().translate(_BIT_TO_BYTE),
+                          "little")
+        for p, m in zip(enumerate_points(n), hyperplane_point_masks(n))
+    })
+
+
 def section_sizes(n: int, pts: Iterable[Point]) -> tuple[int, ...]:
     """|h and pts| for every hyperplane, in enumeration order.  The points
-    must be canonical; a repeated point counts once."""
-    idx = point_index(n)
-    mask = 0
-    for p in pts:
-        mask |= 1 << idx[p]
-    return tuple((hmask & mask).bit_count() for hmask in hyperplane_point_masks(n))
+    must be canonical; a repeated point counts once.  Needs n <= 5."""
+    lanes = _point_lanes(n)
+    return tuple(sum(lanes[p] for p in set(pts)).to_bytes(len(lanes), "little"))
 
 
 def hyperplanes_meeting(n: int, pts: Iterable[Point], k: int) -> tuple[Hyperplane, ...]:
@@ -168,7 +183,11 @@ def collineation(rows: Iterable[Iterable[int]]) -> Collineation:
 
 
 def apply_collineation(c: Collineation, p: Sequence[int]) -> Point:
-    return canonical_point(gf3.vec_mat(p, c))
+    v = gf3.vec_mat(p, c)
+    for x in v:
+        if x:
+            return v if x == 1 else tuple((2 * y) % 3 for y in v)
+    raise ValueError("zero vector has no projective point")
 
 
 def compose(a: Collineation, b: Collineation) -> Collineation:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -94,7 +95,14 @@ def test_layer_elation_rejects_swapped_layers(model, base, monkeypatch):
     layers = dict(true.layers)
     layers[(3, 1)], layers[(3, 2)] = true.layers[(3, 2)], true.layers[(3, 1)]
     forged = dataclasses.replace(true, layers=layers)
-    cached = (cosets.conic_layers, cosets.layer_elation, cosets.reference_profiles)
+    cached = (
+        cosets.conic_layers,
+        cosets.layer_elation,
+        cosets.reference_profiles,
+        cosets._elation_powers,
+        cosets._projection_frame,
+        cosets.default_projection_target,
+    )
     for fn in cached:
         fn.cache_clear()
     monkeypatch.setattr(cosets, "conic_layers", lambda m, b: forged)
@@ -104,6 +112,21 @@ def test_layer_elation_rejects_swapped_layers(model, base, monkeypatch):
     finally:
         for fn in cached:
             fn.cache_clear()
+
+
+def test_cached_geometry_is_read_only(model, base, system):
+    kappa = cosets.layer_elation(model, base, 0)
+    x = min(system.layers[(0, 0)])
+    with pytest.raises(TypeError):
+        kappa[x] = x
+    with pytest.raises(TypeError):
+        system.layers[(0, 0)] = frozenset()
+    assert cosets.layer_elation(model, base, 0)[x] != x
+    s = cosets.twelve_set(model, base, (2, 0, 0, 0))
+    target = cosets.default_projection_target(base)
+    first = cosets.project_from_base(model, base, s, target)
+    first.lines[0] = ()
+    assert cosets.project_from_base(model, base, s, target).lines[0] != ()
 
 
 def test_next_layer_is_internal_points_of_previous_layer_conic(
@@ -381,6 +404,28 @@ def test_projection_transversal_is_unique(model, base):
     assert transversals == {tuple(sorted(proj.transversal))}
 
 
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_closed_form_projection_matches_line_through(pre):
+    # (b.h) x - (x.h) b is the one point of the line from the base through x
+    # that lies on the target, for every point x off the base
+    b = veronese_map(pre)
+    h = cosets.default_projection_target(b)
+    for x in pg.enumerate_points(5):
+        if x == b:
+            continue
+        (hit,) = [p for p in pg.line_through(b, x) if pg.incident(p, h)]
+        assert cosets._project(b, h, x) == hit
+
+
+def test_projection_rejects_a_point_projected_off_the_target(model, base, monkeypatch):
+    s = cosets.twelve_set(model, base, (2, 0, 0, 0))
+    target = cosets.default_projection_target(base)
+    off = next(p for p in pg.enumerate_points(5) if not pg.incident(p, target))
+    monkeypatch.setattr(cosets, "_project", lambda b, h, x: off)
+    with pytest.raises(ValueError, match=re.escape(str(off))):
+        cosets.project_from_base(model, base, s, target)
+
+
 def test_projection_rejects_target_through_base(model, base):
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -406,3 +451,97 @@ def test_everything_works_at_a_non_default_base(model):
         exotic = cosets.analyze_exotic(model, base2, s)
         assert len(exotic.six_point_primes) == 42
         assert exotic.common_point == base2
+
+
+# Per-point reference routines: each collineation image by an explicit
+# canonical vec_mat, elation powers by composing the permutation, prime
+# sections by pg.incident, projections by searching pg.line_through.
+
+
+def _apply(g, p):
+    return pg.canonical_point(gf3.vec_mat(p, g))
+
+
+def _induced_powers(model, base, g):
+    system = cosets.conic_layers(model, base)
+    out = []
+    for k in cosets.LABEL_ORDER:
+        kappa = cosets.layer_elation(model, base, k)
+        perm = {p: _apply(g, p) for p in pg.flat_points(system.conics[k].plane)}
+        power = {p: p for p in kappa}
+        for e in (0, 1, 2):
+            if perm == power:
+                out.append(e)
+                break
+            power = {p: kappa[q] for p, q in power.items()}
+        else:
+            return None
+    return tuple(out)
+
+
+def _line_projection(base, target, pts):
+    out = set()
+    for x in pts:
+        (hit,) = [p for p in pg.line_through(base, x) if pg.incident(p, target)]
+        out.add(hit)
+    return out
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_orbit_and_exotic_reports_match_per_point_routines(model, pre):
+    base = veronese_map(pre)
+    group = sorted(
+        cosets.group_closure(
+            [cosets.extended_elation(model, base, k) for k in cosets.LABEL_ORDER]
+        )
+    )
+    report = cosets.verify_orbit_equivalence(model, base)
+    assert report.group_order == len(group) == 27
+    assert list(report.induced_quadruples.items()) == [
+        (g, _induced_powers(model, base, g)) for g in group
+    ]
+    by_points = {
+        cosets.twelve_set(model, base, q).points: q for q in cosets.all_quadruples()
+    }
+    for rep, got in (((0, 0, 0, 0), report.surface_witnesses),
+                     ((1, 1, 1, 1), report.cap_witnesses)):
+        start = cosets.twelve_set(model, base, rep).points
+        want = {}
+        for g in group:
+            q = by_points.get(frozenset(_apply(g, p) for p in start))
+            if q is not None and q not in want:
+                want[q] = g
+        assert list(got.items()) == list(want.items())
+
+    # incidence of every point of the 81 sets with every prime, point by point
+    system = cosets.conic_layers(model, base)
+    on = {
+        p: [pg.incident(p, h) for h in pg.enumerate_hyperplanes(5)]
+        for layer in system.layers.values()
+        for p in layer
+    }
+    target = cosets.default_projection_target(base)
+    assert not pg.incident(base, target)
+    lines = {
+        k: tuple(sorted(_line_projection(base, target, set(system.plane_points[k]) - {base})))
+        for k in cosets.LABEL_ORDER
+    }
+    transversal = tuple(sorted(_line_projection(
+        base, target, set(pg.flat_points(model.tangent_planes[base])) - {base}
+    )))
+    for q in cosets.all_quadruples():
+        if sum(q) % 3 != 2:
+            continue
+        s = cosets.twelve_set(model, base, q)
+        sizes = [sum(col) for col in zip(*(on[p] for p in s.points))]
+        er = cosets.analyze_exotic(model, base, s)
+        assert er.six_point_primes == tuple(
+            h for h, n in zip(pg.enumerate_hyperplanes(5), sizes) if n == 6
+        )
+        assert er.common_point == base
+        assert all(pg.incident(base, h) for h in er.six_point_primes)
+        proj = er.projection
+        assert proj.target == target
+        assert proj.lines == lines
+        assert proj.transversal == transversal
+        assert proj.image_points == tuple(sorted(_line_projection(base, target, s.points)))

@@ -72,6 +72,29 @@ def test_section_sizes_match_brute_force_incidence(repeats):
         )
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_section_sizes_of_the_whole_space(n):
+    # every hyperplane of PG(n,3) holds (3^n - 1)/2 points: 4 for a line of
+    # PG(2,3), 121 for a prime of PG(5,3), the fullest a byte lane gets
+    pts = pg.enumerate_points(n)
+    sizes = tuple(
+        sum(1 for p in pts if pg.incident(p, h)) for h in pg.enumerate_hyperplanes(n)
+    )
+    assert sizes == (len(pg.enumerate_points(n - 1)),) * len(pts)
+    assert pg.section_sizes(n, reversed(pts)) == sizes
+
+
+def test_section_sizes_refuses_hyperplanes_wider_than_a_byte_lane():
+    # a hyperplane of PG(6,3) holds 364 points, which would carry out of its
+    # lane; the refusal must come before any table for n = 6 is built
+    masks_before = pg.hyperplane_point_masks.cache_info().currsize
+    points_before = pg.enumerate_points.cache_info().currsize
+    with pytest.raises(ValueError, match="255"):
+        pg.section_sizes(6, [(1, 0, 0, 0, 0, 0, 0)])
+    assert pg.hyperplane_point_masks.cache_info().currsize == masks_before
+    assert pg.enumerate_points.cache_info().currsize == points_before
+
+
 def test_line_through_examples():
     a = (1, 0, 0, 0, 0, 0)
     b = (0, 0, 0, 1, 0, 0)
