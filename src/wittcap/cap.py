@@ -7,13 +7,16 @@ design, exactly 12 of the 364 primes miss the cap entirely, and those 12
 primes are the 9 osculating primes along conics avoiding P together with the
 3 primes meeting the surface in P alone.
 
-For the default base point (1,0,0,0,0,0) the cap also has a closed-form
-parametrization on PG(2,3) minus one point:
+At every base P = v(p) the cap also has a closed form on PG(2,3) minus p:
+with P and v(x) written as canonical vectors, the internal point of the
+secant through P and v(x) is v(x) + P.  At the paper's base
+P = (1,0,0,0,0,0) this reads
 
     (x0, x1, x2)  ->  (x0^2 + 1, x0 x1, x0 x2, x1^2, x1 x2, x2^2)
 
 The constant term is unambiguous because 1 is the only nonzero square in
-GF(3).  Both routes are implemented and must agree point for point.
+GF(3).  Both routes are implemented and must agree point for point; the
+closed form, in lexicographic order of the domain, also orders the cap.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ from .pg import Hyperplane, Point
 from .veronese import MONOMIALS, VeroneseModel, classify_conic_plane, veronese_map
 
 DEFAULT_BASE_PREIMAGE: Point = (1, 0, 0)
+DEFAULT_BASE: Point = veronese_map(DEFAULT_BASE_PREIMAGE)
 
 
 @dataclass(frozen=True)
 class CapSet:
     points: frozenset[Point]
     base_point: Point
-    origin: str  # "conics" (union of internal triples) or "formula"
 
 
 @dataclass(frozen=True)
@@ -82,23 +85,26 @@ def internal_partner(model: VeroneseModel, base: Point, y: Point) -> Point:
     return hits[0]
 
 
-def cap_map(x: Sequence[int]) -> Point:
-    """Closed-form cap parametrization for the default base point.
+def cap_map(x: Sequence[int], base: Point = DEFAULT_BASE) -> Point:
+    """Closed-form cap parametrization: x -> v(x) + base.
 
-    Defined on PG(2,3) minus (1,0,0); raises off the domain.
+    Defined on PG(2,3) minus the preimage of the base; raises off the domain.
     """
-    x = pg.canonical_point(x)
-    if x == DEFAULT_BASE_PREIMAGE:
+    v = veronese_map(x)
+    if v == base:
         raise ValueError("outside domain: the removed point of the dual affine plane")
-    x0, x1, x2 = x
-    return pg.canonical_point(
-        (x0 * x0 + 1, x0 * x1, x0 * x2, x1 * x1, x1 * x2, x2 * x2)
-    )
+    return pg.canonical_point(gf3.vec_add(v, base))
 
 
-def cap_domain() -> tuple[Point, ...]:
-    """The dual affine plane parametrizing the cap, in lexicographic order."""
-    return tuple(x for x in pg.enumerate_points(2) if x != DEFAULT_BASE_PREIMAGE)
+def cap_domain(base: Point = DEFAULT_BASE) -> tuple[Point, ...]:
+    """The dual affine plane parametrizing the cap at a surface point, in
+    lexicographic order."""
+    domain = tuple(x for x in pg.enumerate_points(2) if veronese_map(x) != base)
+    if len(domain) != 12:
+        raise ValueError(
+            f"{base} is not a surface point: the domain has {len(domain)} points"
+        )
+    return domain
 
 
 def build_cap(model: VeroneseModel, base: Point) -> CapSet:
@@ -109,16 +115,13 @@ def build_cap(model: VeroneseModel, base: Point) -> CapSet:
     pts: set[Point] = set()
     for conic in model.conics_through(base):
         pts |= classify_conic_plane(conic).internal
-    return CapSet(points=frozenset(pts), base_point=base, origin="conics")
+    return CapSet(points=frozenset(pts), base_point=base)
 
 
 def build_cap_from_formula(model: VeroneseModel) -> CapSet:
     """The same cap via the closed-form parametrization (default base)."""
-    base = veronese_map(DEFAULT_BASE_PREIMAGE)
     return CapSet(
-        points=frozenset(cap_map(x) for x in cap_domain()),
-        base_point=base,
-        origin="formula",
+        points=frozenset(cap_map(x) for x in cap_domain()), base_point=DEFAULT_BASE
     )
 
 

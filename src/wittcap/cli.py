@@ -46,17 +46,10 @@ def _fmt(p) -> str:
     return pg.format_point(p)
 
 
-def _ordered_cap_points(model, preimage) -> list[pg.Point]:
-    """Cap points in parameter-domain lexicographic order."""
-    base = veronese_map(preimage)
-    domain = [x for x in pg.enumerate_points(2) if x != preimage]
-    return [capmod.internal_partner(model, base, veronese_map(x)) for x in domain]
-
-
 def cmd_build_cap(args) -> tuple[int, dict, list[str]]:
     model = build_model()
     base = veronese_map(args.preimage)
-    pts = _ordered_cap_points(model, args.preimage)
+    pts = golay.generator_matrix(capmod.build_cap(model, base)).column_points
     report = {
         "command": "build-cap",
         "base": _fmt(base),
@@ -135,7 +128,7 @@ def cmd_aut_order(args) -> tuple[int, dict, list[str]]:
 
 def cmd_golay(args) -> tuple[int, dict, list[str]]:
     model = build_model()
-    code = golay.generator_matrix(capmod.build_cap_from_formula(model))
+    code = golay.generator_matrix(capmod.build_cap(model, capmod.DEFAULT_BASE))
     if args.emit_matrix:
         lines = [" ".join(str(x) for x in row) for row in code.generator]
         report = {"command": "golay", "generator": [list(r) for r in code.generator]}

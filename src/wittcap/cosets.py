@@ -221,13 +221,6 @@ def _elation_powers(
     return tuple(images)
 
 
-def elation_power(
-    model: VeroneseModel, base: Point, k: int, e: int
-) -> dict[Point, Point]:
-    points = conic_layers(model, base).plane_points[k]
-    return dict(zip(points, _elation_powers(model, base, k)[e % 3]))
-
-
 def extended_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
     """The space elation with centre at the base and axis the osculating
     prime of conic k that restricts to the identity on conic k's plane and to

@@ -1,7 +1,9 @@
 """The extended ternary Golay code read off the cap's coordinate vectors.
 
 Writing the 12 canonical cap vectors as the columns of a 6x12 matrix over
-GF(3) yields a generator matrix of the [12,6,6] self-dual code.  Codewords
+GF(3) yields a generator matrix of the [12,6,6] self-dual code, at any of
+the 13 base points.  The columns follow the closed-form parametrization
+x -> v(x) + P at the cap's base P, in lexicographic order of x.  Codewords
 are evaluations of linear forms at the cap, so zero entries of a word mark
 the cap points on the corresponding prime; the weight-6 words come in
 negation pairs whose supports are exactly the 132 design blocks.
@@ -28,12 +30,16 @@ class TernaryCode:
 def generator_matrix(cap: CapSet) -> TernaryCode:
     """Columns are the cap points in parameter-domain lexicographic order.
 
-    Only formula-built caps carry that order, so anything else is rejected.
+    The closed form at the cap's base must give exactly the cap's points;
+    otherwise the first point on one side only is named.
     """
-    if cap.origin != "formula":
-        raise ValueError("column order is defined by the formula parametrization")
-    preimages = cap_domain()
-    columns = tuple(cap_map(x) for x in preimages)
+    preimages = cap_domain(cap.base_point)
+    columns = tuple(cap_map(x, cap.base_point) for x in preimages)
+    stray = cap.points ^ set(columns)
+    if stray:
+        raise ValueError(
+            f"the cap at {cap.base_point} and its closed form differ at {min(stray)}"
+        )
     generator = tuple(tuple(col[r] for col in columns) for r in range(6))
     return TernaryCode(
         generator=generator, column_points=columns, column_preimages=preimages

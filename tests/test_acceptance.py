@@ -9,12 +9,15 @@ criterion.
 import itertools
 import random
 
+import pytest
+
 from wittcap import cap as capmod
 from wittcap import cosets, gf3, golay, pg
 from wittcap.veronese import (
     chordal_cubic_contains,
     classify_conic_plane,
     lift_collineation,
+    veronese_map,
 )
 
 
@@ -23,8 +26,11 @@ def _report(num, ok, description):
     assert ok, description
 
 
-def test_criterion_01_cap_construction_agreement(model, base, cap):
-    formula_points = {capmod.cap_map(x) for x in capmod.cap_domain()}
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_criterion_01_cap_construction_agreement(model, pre):
+    base = veronese_map(pre)
+    cap = capmod.build_cap(model, base)
+    formula_points = {capmod.cap_map(x, base) for x in capmod.cap_domain(base)}
     ok = (
         len(cap.points) == 12
         and len(formula_points) == 12

@@ -55,18 +55,27 @@ def test_cap_map_rejects_the_removed_point():
         capmod.cap_map((2, 0, 0))  # same projective point
 
 
-def test_cap_map_agrees_with_internal_partner(model, base):
-    for x in capmod.cap_domain():
-        assert capmod.cap_map(x) == capmod.internal_partner(
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_cap_map_agrees_with_internal_partner(model, pre):
+    base = veronese_map(pre)
+    domain = capmod.cap_domain(base)
+    assert domain == tuple(x for x in pg.enumerate_points(2) if x != pre)
+    for x in domain:
+        assert capmod.cap_map(x, base) == capmod.internal_partner(
             model, base, veronese_map(x)
         )
+    with pytest.raises(ValueError, match="domain"):
+        capmod.cap_map(pre, base)
+
+
+def test_cap_domain_rejects_non_surface_base():
+    with pytest.raises(ValueError, match="not a surface point"):
+        capmod.cap_domain((1, 1, 0, 0, 0, 0))
 
 
 def test_both_constructions_agree(model, cap):
     formula = capmod.build_cap_from_formula(model)
     assert cap.points == formula.points
-    assert cap.origin == "conics"
-    assert formula.origin == "formula"
 
 
 def test_cap_has_12_points_disjoint_from_surface(model, cap):

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from wittcap import gf3, golay
+from wittcap import cap as capmod
+from wittcap import gf3, golay, pg
+from wittcap.veronese import veronese_map
 
 # frozen regression fixture: full weight enumeration of the 729 codewords
 EXPECTED_WEIGHTS = {0: 1, 6: 264, 9: 440, 12: 24}
@@ -23,10 +26,25 @@ def test_generator_matrix_golden(code):
     assert code.generator == GOLDEN_GENERATOR
 
 
-def test_generator_requires_formula_origin(model, cap):
-    assert cap.origin == "conics"
-    with pytest.raises(ValueError):
-        golay.generator_matrix(cap)
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_generator_matrix_at_every_base(model, pre):
+    cap = capmod.build_cap(model, veronese_map(pre))
+    code = golay.generator_matrix(cap)
+    assert golay.code_rank(code) == 6
+    assert golay.is_self_dual(code)
+    assert golay.weight_distribution(code) == EXPECTED_WEIGHTS
+    assert golay.weight6_supports(code) == {b.points for b in capmod.blocks(cap).blocks}
+    if pre == (1, 0, 0):
+        assert code.generator == GOLDEN_GENERATOR
+
+
+def test_generator_matrix_names_a_stray_point(cap):
+    p = min(cap.points)
+    q = next(x for x in pg.enumerate_points(5) if x not in cap.points)
+    moved = dataclasses.replace(cap, points=cap.points - {p} | {q})
+    with pytest.raises(ValueError) as err:
+        golay.generator_matrix(moved)
+    assert str(min(p, q)) in str(err.value)
 
 
 def test_columns_are_distinct_cap_points(code, cap):
