@@ -22,6 +22,7 @@ closed form, in lexicographic order of the domain, also orders the cap.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -248,13 +249,34 @@ def automorphism_order(design: Design) -> int:
     """Order of the group of permutations of the design's points that map
     the set of blocks onto itself (a repeated block counts once).
 
-    Counted along a point-stabilizer chain: the order is the product of the
-    orbit sizes of successive base points.  Each orbit membership question
-    is settled by one prefix search over the base order, with the earlier
-    base points held fixed.  A point is only sent to a point on as many
-    blocks, the image of every partially mapped block must stay inside some
-    block, and a complete map counts only if it permutes the blocks.
+    Counted along a point-stabiliser chain, walked from the deepest base
+    point up.  The base orders the points by block degree, since an image
+    must lie on as many blocks as its preimage.  At depth d the group is the
+    pointwise stabiliser of base[:d], and the orbit of base[d] under it
+    starts as {base[d]}.  Each candidate image outside the orbit so far is
+    settled by one prefix search with base[:d] held fixed: the image of
+    every partially mapped block must stay inside some block, and a
+    complete map counts only if it permutes the blocks.  A map found is
+    kept as a generator, and the orbit is closed under every generator kept
+    so far.
+
+    This is exact.  Every generator was found at a depth >= d, so it fixes
+    base[:d] pointwise, and the closed orbit lies inside the true orbit.
+    Every candidate outside the closed orbit was searched directly.  The
+    order is the product of the orbit lengths.
     """
+    _, orbit_lengths, _ = _stabiliser_chain(design)
+    return math.prod(orbit_lengths)
+
+
+def _stabiliser_chain(
+    design: Design,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The search behind `automorphism_order`: (base, orbit_lengths,
+    generators).  orbit_lengths[d] is the orbit length of base[d];
+    generators holds (depth, perm) pairs in the order found, where perm[i]
+    is the index of the image of design.points[i] and perm fixes base[:depth]
+    pointwise but moves base[depth]."""
     pts = design.points
     n = len(pts)
     point_pos = {p: i for i, p in enumerate(pts)}
@@ -277,6 +299,10 @@ def automorphism_order(design: Design) -> int:
         for p in range(n)
     )
     images = [0] * len(block_masks)
+    # assign[p] is the image of point p.  A search at depth d writes only
+    # the points of base[d:], and depths are walked upwards, so the points
+    # of base[:d] still map to themselves.
+    assign = list(range(n))
 
     def places(depth: int, v: int, used: int) -> bool:
         """With base[:depth] mapped as `images` and `used` record, does
@@ -287,6 +313,7 @@ def automorphism_order(design: Design) -> int:
             return False
         for bi in mine:
             images[bi] |= bit
+        assign[base[depth]] = v
         used |= bit
         if depth + 1 == n:
             found = sorted(images) == block_masks
@@ -297,11 +324,31 @@ def automorphism_order(design: Design) -> int:
             images[bi] ^= bit
         return found
 
-    order = 1
+    # The images and used record with base[:d] fixed, for every d.
+    prefix = []
     used = 0
-    for depth, p in enumerate(base):
-        order *= sum(places(depth, v, used) for v in peers[p] if not used >> v & 1)
+    for p in base:
+        prefix.append((tuple(images), used))
         for bi in blocks_of[p]:
             images[bi] |= 1 << p
         used |= 1 << p
-    return order
+
+    gens: list[tuple[int, tuple[int, ...]]] = []
+    orbit_lengths = [0] * n
+    for depth in range(n - 1, -1, -1):
+        fixed, used = prefix[depth]
+        images[:] = fixed
+        orbit = {base[depth]}
+        for v in peers[base[depth]]:
+            if used >> v & 1 or v in orbit or not places(depth, v, used):
+                continue
+            gens.append((depth, tuple(assign)))
+            frontier = list(orbit)
+            while frontier:
+                x = frontier.pop()
+                for _, g in gens:
+                    if g[x] not in orbit:
+                        orbit.add(g[x])
+                        frontier.append(g[x])
+        orbit_lengths[depth] = len(orbit)
+    return tuple(base), tuple(orbit_lengths), tuple(gens)

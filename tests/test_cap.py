@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wittcap import cap as capmod
-from wittcap import gf3, pg
+from wittcap import cosets, gf3, pg
 from wittcap.veronese import classify_conic_plane, veronese_map
 
 EXPECTED_MISSING_PRIME_LITERALS = [
@@ -217,8 +217,20 @@ def test_vector_identity_hand_value():
     assert lhs == rhs == (1, 0, 0, 1, 0, 0)
 
 
-def test_automorphism_order_is_95040(design):
-    assert capmod.automorphism_order(design) == 95040
+def _witt_design(model, pre):
+    return capmod.blocks(capmod.build_cap(model, veronese_map(pre)))
+
+
+def _random_collineation(rng):
+    while True:
+        m = gf3.mat(rng.choices(range(3), k=6) for _ in range(6))
+        if gf3.rank(m) == 6:
+            return m
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_automorphism_order_is_95040(model, pre):
+    assert capmod.automorphism_order(_witt_design(model, pre)) == 95040
 
 
 def test_automorphism_order_terminates_on_unstructured_sets():
@@ -227,10 +239,7 @@ def test_automorphism_order_terminates_on_unstructured_sets():
     for seed in range(8):
         rng = random.Random(seed)
         pts = rng.sample(pg.enumerate_points(5), 12)
-        while True:
-            m = gf3.mat(rng.choices(range(3), k=6) for _ in range(6))
-            if gf3.rank(m) == 6:
-                break
+        m = _random_collineation(rng)
         moved = [pg.apply_collineation(m, p) for p in pts]
         design, moved_design = capmod.blocks(pts), capmod.blocks(moved)
         assert len(design.blocks) == len(moved_design.blocks)
@@ -254,7 +263,9 @@ def _brute_force_order(design):
     return count
 
 
-def test_automorphism_order_matches_brute_force():
+def _small_designs():
+    """Designs on at most 7 points: hand-picked edge cases, then seeded
+    random block systems with empty, repeated and nested blocks."""
     pts = pg.enumerate_points(5)[:7]
     p0, p1, p2 = pts[:3]
 
@@ -264,11 +275,9 @@ def test_automorphism_order_matches_brute_force():
             blocks=tuple(capmod.Block(points=frozenset(b), prime=pts[0]) for b in blocks),
         )
 
-    # a map sending {p0} into the larger block {p0,p1,p2} is no automorphism
-    witness = design(pts[:3], {p0}, {p0, p1, p2})
-    assert capmod.automorphism_order(witness) == 2
     cases = [
-        witness,
+        # a map sending {p0} into the larger block {p0,p1,p2} is no automorphism
+        design(pts[:3], {p0}, {p0, p1, p2}),
         design(pts[:5]),
         design(pts[:4], set()),
         design(pts[:5], {p0, p1}, {p0, p1}, {p2}),
@@ -281,5 +290,61 @@ def test_automorphism_order_matches_brute_force():
         if blocks and rng.random() < 0.3:
             blocks.append(blocks[0])
         cases.append(design(pts[:n], *blocks))
+    return cases
+
+
+def test_automorphism_order_matches_brute_force():
+    cases = _small_designs()
+    assert capmod.automorphism_order(cases[0]) == 2
     for d in cases:
         assert capmod.automorphism_order(d) == _brute_force_order(d), d
+
+
+def _check_generators(design):
+    base, orbit_lengths, gens = capmod._stabiliser_chain(design)
+    n = len(design.points)
+    assert sorted(base) == list(range(n)) and len(orbit_lengths) == n
+    masks = {sum(1 << design.points.index(p) for p in b.points) for b in design.blocks}
+    for depth, g in gens:
+        assert sorted(g) == list(range(n))
+        assert {sum(1 << g[i] for i in range(n) if m >> i & 1) for m in masks} == masks
+        assert all(g[b] == b for b in base[:depth]), (depth, g)
+        assert g[base[depth]] != base[depth], (depth, g)
+    return orbit_lengths, [g for _, g in gens]
+
+
+@pytest.mark.parametrize("pre", [(1, 0, 0), (0, 1, 2), (1, 2, 2)], ids=pg.format_point)
+def test_stabiliser_chain_generators_on_the_witt_design(model, pre):
+    # sharply 5-transitive: orbits 12, 11, 10, 9, 8, then the identity
+    orbit_lengths, _ = _check_generators(_witt_design(model, pre))
+    assert orbit_lengths == (12, 11, 10, 9, 8, 1, 1, 1, 1, 1, 1, 1)
+
+
+def test_stabiliser_chain_generators_on_small_designs():
+    # the generators are a strong generating set: they generate a group of
+    # exactly the order the orbit lengths give
+    for d in _small_designs():
+        orbit_lengths, gens = _check_generators(d)
+        group = {tuple(range(len(d.points)))}
+        frontier = list(group)
+        while frontier:
+            h = frontier.pop()
+            for g in gens:
+                gh = tuple(g[i] for i in h)
+                if gh not in group:
+                    group.add(gh)
+                    frontier.append(gh)
+        assert len(group) == math.prod(orbit_lengths), d
+
+
+@pytest.mark.parametrize(
+    "quad, order",
+    [((0, 0, 0, 0), 432), ((1, 0, 0, 0), 95040), ((2, 0, 0, 0), 432)],
+    ids=["surface", "cap", "exotic"],
+)
+def test_automorphism_order_of_layer_set_representatives(model, base, quad, order):
+    pts = sorted(cosets.twelve_set(model, base, quad).points)
+    m = _random_collineation(random.Random(sum(quad)))
+    moved = [pg.apply_collineation(m, p) for p in pts]
+    assert capmod.automorphism_order(capmod.blocks(pts)) == order
+    assert capmod.automorphism_order(capmod.blocks(moved)) == order
