@@ -298,7 +298,9 @@ def _stabiliser_chain(
         tuple(v for v in range(n) if len(blocks_of[v]) == len(blocks_of[p]))
         for p in range(n)
     )
-    images = [0] * len(block_masks)
+    # Every point starts fixed; the walk below releases one base point per depth.
+    images = list(block_masks)
+    used = (1 << n) - 1
     # assign[p] is the image of point p.  A search at depth d writes only
     # the points of base[d:], and depths are walked upwards, so the points
     # of base[:d] still map to themselves.
@@ -324,20 +326,15 @@ def _stabiliser_chain(
             images[bi] ^= bit
         return found
 
-    # The images and used record with base[:d] fixed, for every d.
-    prefix = []
-    used = 0
-    for p in base:
-        prefix.append((tuple(images), used))
-        for bi in blocks_of[p]:
-            images[bi] |= 1 << p
-        used |= 1 << p
-
     gens: list[tuple[int, tuple[int, ...]]] = []
     orbit_lengths = [0] * n
     for depth in range(n - 1, -1, -1):
-        fixed, used = prefix[depth]
-        images[:] = fixed
+        # Release base[depth]: the state now holds base[:depth] fixed, since
+        # `places` undoes its own writes to `images`.
+        bit = 1 << base[depth]
+        for bi in blocks_of[base[depth]]:
+            images[bi] ^= bit
+        used ^= bit
         orbit = {base[depth]}
         for v in peers[base[depth]]:
             if used >> v & 1 or v in orbit or not places(depth, v, used):

@@ -13,6 +13,7 @@ import sys
 
 from . import cap as capmod
 from . import cosets, golay, pg
+from .pg import format_point as fmt
 from .veronese import build_model, chordal_cubic_contains, veronese_map
 
 USAGE_EXIT = 2
@@ -35,6 +36,14 @@ def _point_arg(n: int):
     return parse
 
 
+_plane_point = _point_arg(2)
+
+
+def _base_arg(text: str) -> pg.Point:
+    """The base point named by `--preimage`: the image of a parameter-plane point."""
+    return veronese_map(_plane_point(text))
+
+
 def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
     parts = [int(t) for t in text.split(",")]
     if len(parts) != 4 or any(v not in (0, 1, 2) for v in parts):
@@ -42,46 +51,40 @@ def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
     return tuple(parts)
 
 
-def _fmt(p) -> str:
-    return pg.format_point(p)
+def _verdict(report: dict, checks: list[tuple[str, bool]]) -> int:
+    """Set report["result"] from (claim, passed) pairs; return the exit code."""
+    ok = all(passed for _, passed in checks)
+    report["result"] = "PASS" if ok else "FAIL"
+    return 0 if ok else FAIL_EXIT
 
 
-def cmd_build_cap(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    base = veronese_map(args.preimage)
-    pts = golay.generator_matrix(capmod.build_cap(model, base)).column_points
-    report = {
-        "command": "build-cap",
-        "base": _fmt(base),
-        "points": [_fmt(p) for p in pts],
-    }
-    return 0, report, [_fmt(p) for p in pts]
+def cmd_build_cap(model, args) -> tuple[int, dict, list[str]]:
+    pts = golay.generator_matrix(capmod.build_cap(model, args.base)).column_points
+    report = {"command": "build-cap", "base": fmt(args.base),
+              "points": [fmt(p) for p in pts]}
+    return 0, report, report["points"]
 
 
-def cmd_verify_design(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    base = veronese_map(args.preimage)
-    cap = capmod.build_cap(model, base)
+def cmd_verify_design(model, args) -> tuple[int, dict, list[str]]:
+    cap = capmod.build_cap(model, args.base)
     design = capmod.blocks(cap)
     witt = capmod.verify_witt(design)
-    dual = capmod.build_dual_cap(model, base)
+    dual = capmod.build_dual_cap(model, args.base)
     missed = capmod.missed_primes(cap)
-    disjoint = capmod.disjointness_check(cap, dual)
     aut = capmod.automorphism_order(design)
-    identities = capmod.vector_identity_check()
     checks = [
         ("every 5 of the 12 points lies in exactly one 6-point prime section",
          witt.ok),
         ("exactly 12 primes carry no cap point, and they form the dual cap",
          len(missed) == 12 and set(missed) == dual.primes),
-        ("no cap point is incident with a dual-cap prime", disjoint),
+        ("no cap point is incident with a dual-cap prime",
+         capmod.disjointness_check(cap, dual)),
         ("the point permutation group has order 95040", aut == 95040),
-        ("conic spanning-vector identities hold", identities),
+        ("conic spanning-vector identities hold", capmod.vector_identity_check()),
     ]
-    ok = all(passed for _, passed in checks)
     report = {
         "command": "verify-design",
-        "base": _fmt(cap.base_point),
+        "base": fmt(args.base),
         "counts": {
             "points": len(cap.points),
             "blocks": witt.block_count,
@@ -90,44 +93,29 @@ def cmd_verify_design(args) -> tuple[int, dict, list[str]]:
             "aut": aut,
         },
         "checks": [{"claim": c, "pass": p} for c, p in checks],
-        "result": "PASS" if ok else "FAIL",
     }
-    lines = [
-        f"points={len(cap.points)}",
-        f"blocks={witt.block_count}",
-        f"empty_primes={len(missed)}",
-        f"quad_cover={witt.quad_cover_value}",
-        f"aut={aut}",
-    ]
-    for claim, passed in checks:
-        lines.append(f"check={'PASS' if passed else 'FAIL'} {claim}")
-    lines.append(f"result={report['result']}")
-    return (0 if ok else FAIL_EXIT), report, lines
+    code = _verdict(report, checks)
+    lines = [f"{k}={v}" for k, v in report["counts"].items()]
+    lines += [f"check={'PASS' if p else 'FAIL'} {c}" for c, p in checks]
+    return code, report, lines + [f"result={report['result']}"]
 
 
-def cmd_todd(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    base = veronese_map(args.preimage)
-    cap = capmod.build_cap(model, base)
-    missed = capmod.missed_primes(cap)
+def cmd_todd(model, args) -> tuple[int, dict, list[str]]:
+    missed = capmod.missed_primes(capmod.build_cap(model, args.base))
     report = {
         "command": "todd",
-        "base": _fmt(base),
-        "missing_primes": [_fmt(h) for h in missed],
+        "base": fmt(args.base),
+        "missing_primes": [fmt(h) for h in missed],
     }
-    return 0, report, [_fmt(h) for h in missed]
+    return 0, report, report["missing_primes"]
 
 
-def cmd_aut_order(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    base = veronese_map(args.preimage)
-    design = capmod.blocks(capmod.build_cap(model, base))
-    order = capmod.automorphism_order(design)
+def cmd_aut_order(model, args) -> tuple[int, dict, list[str]]:
+    order = capmod.automorphism_order(capmod.blocks(capmod.build_cap(model, args.base)))
     return 0, {"command": "aut-order", "order": order}, [str(order)]
 
 
-def cmd_golay(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
+def cmd_golay(model, args) -> tuple[int, dict, list[str]]:
     code = golay.generator_matrix(capmod.build_cap(model, capmod.DEFAULT_BASE))
     if args.emit_matrix:
         lines = [" ".join(str(x) for x in row) for row in code.generator]
@@ -137,10 +125,6 @@ def cmd_golay(args) -> tuple[int, dict, list[str]]:
     k = golay.code_rank(code)
     d = golay.minimum_distance(code)
     sd = golay.is_self_dual(code)
-    # 729 distinct words checks k = 6 by enumeration, apart from the rref.
-    distinct = len(set(golay.enumerate_codewords(code)))
-    weights_ok = dist == {0: 1, 6: 264, 9: 440, 12: 24}
-    ok = k == 6 and d == 6 and sd and distinct == 729 and weights_ok
     report = {
         "command": "golay",
         "n": 12,
@@ -148,19 +132,27 @@ def cmd_golay(args) -> tuple[int, dict, list[str]]:
         "d": d,
         "self_dual": sd,
         "weights": {str(w): c for w, c in dist.items()},
-        "result": "PASS" if ok else "FAIL",
     }
+    exit_code = _verdict(report, [
+        ("rank 6", k == 6),
+        ("minimum distance 6", d == 6),
+        ("self-dual", sd),
+        # 729 distinct words checks k = 6 by enumeration, apart from the rref.
+        ("729 distinct words", len(set(golay.enumerate_codewords(code))) == 729),
+        ("weights 1, 264, 440, 24", dist == {0: 1, 6: 264, 9: 440, 12: 24}),
+    ])
     lines = [f"n=12 k={k} d={d} self_dual={'true' if sd else 'false'}"]
     lines += [f"weight {w}: {c}" for w, c in dist.items()]
-    lines.append(f"result={report['result']}")
-    return (0 if ok else FAIL_EXIT), report, lines
+    return exit_code, report, lines + [f"result={report['result']}"]
 
 
-def cmd_classify(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    base = veronese_map(args.preimage)
-    s = cosets.twelve_set(model, base, args.quadruple)
-    kind = cosets.classify(model, base, s)
+def _quadruple_line(q) -> str:
+    return "quadruple=" + ",".join(str(x) for x in q)
+
+
+def cmd_classify(model, args) -> tuple[int, dict, list[str]]:
+    s = cosets.twelve_set(model, args.base, args.quadruple)
+    kind = cosets.classify(model, args.base, s)
     profile = cosets.hyperplane_profile(s)
     report = {
         "command": "classify",
@@ -169,110 +161,82 @@ def cmd_classify(args) -> tuple[int, dict, list[str]]:
         "class_sum": sum(args.quadruple) % 3,
         "profile": {str(k): v for k, v in profile.items()},
     }
-    lines = [
-        "quadruple=" + ",".join(str(q) for q in args.quadruple),
-        f"class={kind}",
-        f"class_sum={sum(args.quadruple) % 3}",
-    ]
-    lines += [f"profile[{k}]={v}" for k, v in profile.items()]
-    return 0, report, lines
+    lines = [_quadruple_line(args.quadruple), f"class={kind}",
+             f"class_sum={report['class_sum']}"]
+    return 0, report, lines + [f"profile[{k}]={v}" for k, v in profile.items()]
 
 
-def cmd_scan_cosets(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    base = veronese_map(args.preimage)
+def cmd_scan_cosets(model, args) -> tuple[int, dict, list[str]]:
     rows = []
     for q in cosets.all_quadruples():
-        s = cosets.twelve_set(model, base, q)
-        kind = cosets.classify(model, base, s)
+        s = cosets.twelve_set(model, args.base, q)
         profile = cosets.hyperplane_profile(s)
-        chordal = all(chordal_cubic_contains(p) for p in s.points)
-        rows.append(
-            {
-                "quadruple": list(q),
-                "class": kind,
-                "profile_0": profile.get(0, 0),
-                "profile_6": profile.get(6, 0),
-                "chordal": chordal,
-            }
-        )
-    report = {"command": "scan-cosets", "base": _fmt(base), "rows": rows}
+        rows.append({
+            "quadruple": list(q),
+            "class": cosets.classify(model, args.base, s),
+            "profile_0": profile.get(0, 0),
+            "profile_6": profile.get(6, 0),
+            "chordal": all(chordal_cubic_contains(p) for p in s.points),
+        })
+    report = {"command": "scan-cosets", "base": fmt(args.base), "rows": rows}
     lines = ["quadruple class profile[0] profile[6] chordal"]
-    for r in rows:
-        lines.append(
-            "{} {} {} {} chordal={}".format(
-                ",".join(str(q) for q in r["quadruple"]),
-                r["class"],
-                r["profile_0"],
-                r["profile_6"],
-                "yes" if r["chordal"] else "no",
-            )
-        )
-    return 0, report, lines
-
-
-def cmd_analyze_r(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    base = veronese_map(args.preimage)
-    if sum(args.quadruple) % 3 != 2:
-        print("analyze-r needs a quadruple with sum 2 mod 3", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
-    if args.target is not None and pg.incident(base, args.target):
-        print("analyze-r needs a --target prime off the base point", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
-    s = cosets.twelve_set(model, base, args.quadruple)
-    er = cosets.analyze_exotic(model, base, s, target=args.target)
-    proj = er.projection
-    report = {
-        "command": "analyze-r",
-        "quadruple": list(args.quadruple),
-        "six_point_primes": [_fmt(h) for h in er.six_point_primes],
-        "common_point": _fmt(er.common_point),
-        "projection": {
-            "target": _fmt(proj.target),
-            "lines": {
-                cosets.LABEL_NAMES[k]: [_fmt(p) for p in proj.lines[k]]
-                for k in cosets.LABEL_ORDER
-            },
-            "transversal": [_fmt(p) for p in proj.transversal],
-            "image_points": [_fmt(p) for p in proj.image_points],
-        },
-    }
-    lines = [
-        "quadruple=" + ",".join(str(q) for q in args.quadruple),
-        f"six_point_primes={len(er.six_point_primes)}",
-    ]
-    lines += ["prime=" + _fmt(h) for h in er.six_point_primes]
-    lines.append(f"common_point={_fmt(er.common_point)}")
-    lines.append(f"target={_fmt(proj.target)}")
-    for k in cosets.LABEL_ORDER:
-        lines.append(
-            f"line_{cosets.LABEL_NAMES[k]}=" + ",".join(_fmt(p) for p in proj.lines[k])
-        )
-    lines.append("transversal=" + ",".join(_fmt(p) for p in proj.transversal))
-    lines.append("image_points=" + ",".join(_fmt(p) for p in proj.image_points))
-    return 0, report, lines
-
-
-def cmd_dump_veronese(args) -> tuple[int, dict, list[str]]:
-    model = build_model()
-    rows = []
-    for c in model.conics:
-        rows.append(
-            {
-                "line": _fmt(c.preimage_line),
-                "points": [_fmt(p) for p in sorted(c.points)],
-                "prime": _fmt(model.osculating_primes[c]),
-            }
-        )
-    report = {"command": "dump-veronese", "conics": rows}
-    lines = [
-        "line={} points={} prime={}".format(
-            r["line"], ",".join(r["points"]), r["prime"]
+    lines += [
+        "{} {} {} {} chordal={}".format(
+            ",".join(str(q) for q in r["quadruple"]), r["class"], r["profile_0"],
+            r["profile_6"], "yes" if r["chordal"] else "no",
         )
         for r in rows
     ]
     return 0, report, lines
+
+
+def cmd_analyze_r(model, args) -> tuple[int, dict, list[str]]:
+    if sum(args.quadruple) % 3 != 2:
+        print("analyze-r needs a quadruple with sum 2 mod 3", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
+    if args.target is not None and pg.incident(args.base, args.target):
+        print("analyze-r needs a --target prime off the base point", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
+    s = cosets.twelve_set(model, args.base, args.quadruple)
+    er = cosets.analyze_exotic(model, args.base, s, target=args.target)
+    proj = er.projection
+    report = {
+        "command": "analyze-r",
+        "quadruple": list(args.quadruple),
+        "six_point_primes": [fmt(h) for h in er.six_point_primes],
+        "common_point": fmt(er.common_point),
+        "projection": {
+            "target": fmt(proj.target),
+            "lines": {
+                cosets.LABEL_NAMES[k]: [fmt(p) for p in proj.lines[k]]
+                for k in cosets.LABEL_ORDER
+            },
+            "transversal": [fmt(p) for p in proj.transversal],
+            "image_points": [fmt(p) for p in proj.image_points],
+        },
+    }
+    shown = report["projection"]
+    lines = [_quadruple_line(args.quadruple),
+             f"six_point_primes={len(er.six_point_primes)}"]
+    lines += ["prime=" + h for h in report["six_point_primes"]]
+    lines += [f"common_point={report['common_point']}", f"target={shown['target']}"]
+    lines += [f"line_{name}=" + ",".join(pts) for name, pts in shown["lines"].items()]
+    lines += [f"{key}=" + ",".join(shown[key]) for key in ("transversal", "image_points")]
+    return 0, report, lines
+
+
+def cmd_dump_veronese(model, args) -> tuple[int, dict, list[str]]:
+    rows = [
+        {
+            "line": fmt(c.preimage_line),
+            "points": [fmt(p) for p in sorted(c.points)],
+            "prime": fmt(model.osculating_primes[c]),
+        }
+        for c in model.conics
+    ]
+    lines = [f"line={r['line']} points={','.join(r['points'])} prime={r['prime']}"
+             for r in rows]
+    return 0, {"command": "dump-veronese", "conics": rows}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,69 +247,49 @@ def build_parser() -> argparse.ArgumentParser:
         "and the 81 layer-replacement twelve-sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, preimage=True, quadruple=False, target=False):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", dest="format"
-        )
-        if preimage:
-            p.add_argument(
-                "--preimage",
-                type=_point_arg(2),
-                default=capmod.DEFAULT_BASE_PREIMAGE,
-                help="parameter-plane preimage of the base point (default 1,0,0)",
-            )
-        if quadruple:
-            p.add_argument("--quadruple", type=_parse_quadruple, required=True)
-        if target:
-            p.add_argument(
-                "--target",
-                type=_point_arg(5),
-                default=None,
-                help="projection prime, colon format (default: first prime off the base)",
-            )
-
-    handlers = {}
-    for name, fn, kwargs in (
-        ("build-cap", cmd_build_cap, {}),
-        ("verify-design", cmd_verify_design, {}),
-        ("todd", cmd_todd, {}),
-        ("aut-order", cmd_aut_order, {}),
-        ("golay", cmd_golay, {"preimage": False}),
-        ("classify", cmd_classify, {"quadruple": True}),
-        ("scan-cosets", cmd_scan_cosets, {}),
-        ("analyze-r", cmd_analyze_r, {"quadruple": True, "target": True}),
-        ("dump-veronese", cmd_dump_veronese, {"preimage": False}),
+    options = {
+        "--preimage": dict(
+            type=_base_arg, default=capmod.DEFAULT_BASE, dest="base", metavar="PREIMAGE",
+            help="parameter-plane preimage of the base point (default 1,0,0)",
+        ),
+        "--quadruple": dict(type=_parse_quadruple, required=True),
+        "--target": dict(
+            type=_point_arg(5), default=None,
+            help="projection prime, colon format (default: first prime off the base)",
+        ),
+    }
+    for name, handler, opts in (
+        ("build-cap", cmd_build_cap, ("--preimage",)),
+        ("verify-design", cmd_verify_design, ("--preimage",)),
+        ("todd", cmd_todd, ("--preimage",)),
+        ("aut-order", cmd_aut_order, ("--preimage",)),
+        ("golay", cmd_golay, ()),
+        ("classify", cmd_classify, ("--preimage", "--quadruple")),
+        ("scan-cosets", cmd_scan_cosets, ("--preimage",)),
+        ("analyze-r", cmd_analyze_r, ("--preimage", "--quadruple", "--target")),
+        ("dump-veronese", cmd_dump_veronese, ()),
     ):
         p = sub.add_parser(name)
-        common(p, **kwargs)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        for opt in opts:
+            p.add_argument(opt, **options[opt])
         if name == "golay":
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--emit-matrix", action="store_true")
             group.add_argument("--verify", action="store_true")
-        handlers[name] = fn
-    parser.set_defaults(handlers=handlers)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = args.handlers[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        code, report, lines = handler(args)
+        code, report, lines = args.handler(build_model(), args)
     except ValueError as e:
-        failure = {"result": "FAIL", "error": str(e)}
-        if args.format == "json":
-            print(json.dumps(failure))
-        else:
-            print(f"result=FAIL error={e}")
-        return FAIL_EXIT
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        for line in lines:
-            print(line)
+        code, report = FAIL_EXIT, {"result": "FAIL", "error": str(e)}
+        lines = [f"result=FAIL error={e}"]
+    for line in [json.dumps(report)] if args.format == "json" else lines:
+        print(line)
     return code
 
 

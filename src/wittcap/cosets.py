@@ -74,7 +74,6 @@ _PLANE_AT_INFINITY: Hyperplane = (1, 0, 0)   # line {x0 = 0} of the parameter pl
 
 @dataclass(frozen=True, eq=False)
 class LayerSystem:
-    base: Point
     conics: Mapping[int, Conic]
     tangents: Mapping[int, frozenset[Point]]
     layers: Mapping[tuple[int, int], frozenset[Point]]
@@ -174,7 +173,6 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         layers[(k, 2)] = part.external - t
         plane_points[k] = pg.flat_points(c.plane)
     return LayerSystem(
-        base=base,
         conics=MappingProxyType(conics),
         tangents=MappingProxyType(tangents),
         layers=MappingProxyType(layers),

@@ -38,8 +38,12 @@ def format_point(p: Sequence[int]) -> str:
 
 
 def parse_point(text: str) -> Point:
-    sep = ":" if ":" in text else ","
-    return canonical_point(int(t) for t in text.split(sep))
+    """Read a point written with digits 0/1/2 and ':' or ',' separators."""
+    tokens = text.split(":" if ":" in text else ",")
+    bad = next((t for t in tokens if t not in ("0", "1", "2")), None)
+    if bad is not None:
+        raise ValueError(f"coordinate {bad!r} is not a digit 0, 1 or 2")
+    return canonical_point(int(t) for t in tokens)
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +134,6 @@ def span(points: Iterable[Sequence[int]]) -> Flat:
     if not rows:
         raise ValueError("span of the empty set is undefined")
     return gf3.row_basis(rows)
-
-
-def flat_dim(f: Flat) -> int:
-    return len(f) - 1
 
 
 def flat_points(f: Flat) -> tuple[Point, ...]:

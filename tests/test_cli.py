@@ -1,9 +1,10 @@
+import argparse
 import itertools
 import json
 
 import pytest
 
-from wittcap import cli, golay
+from wittcap import cap, cli, cosets, golay
 
 
 def run(capsys, *argv):
@@ -106,6 +107,43 @@ def test_golay_verify_fails_on_a_faulty_enumeration(capsys, monkeypatch, fault):
     assert report["result"] == "FAIL"
 
 
+def test_golay_verify_text_fails_on_a_faulty_enumeration(capsys, monkeypatch):
+    real = golay.enumerate_codewords
+    monkeypatch.setattr(golay, "enumerate_codewords", lambda code: _repeat_a_word(real(code)))
+    code, out = run(capsys, "golay", "--verify")
+    assert code == 1
+    assert out.splitlines()[-1] == "result=FAIL"
+
+
+def test_verify_design_fails_on_a_wrong_order(capsys, monkeypatch):
+    monkeypatch.setattr(cap, "automorphism_order", lambda design: 95039)
+    claim = "the point permutation group has order 95040"
+    code, out = run(capsys, "verify-design")
+    lines = out.splitlines()
+    assert code == 1
+    assert "aut=95039" in lines
+    assert f"check=FAIL {claim}" in lines
+    assert lines[-1] == "result=FAIL"
+    code, out = run(capsys, "verify-design", "--format", "json")
+    report = json.loads(out)
+    assert code == 1
+    assert report["result"] == "FAIL"
+    assert {c["claim"]: c["pass"] for c in report["checks"]}[claim] is False
+
+
+def test_value_error_becomes_a_failure_record(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("no class for 2,0,0,0")
+
+    monkeypatch.setattr(cosets, "classify", broken)
+    code, out = run(capsys, "classify", "--quadruple", "2,0,0,0")
+    assert code == 1
+    assert out == "result=FAIL error=no class for 2,0,0,0\n"
+    code, out = run(capsys, "classify", "--quadruple", "2,0,0,0", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"result": "FAIL", "error": "no class for 2,0,0,0"}
+
+
 def test_classify_exotic(capsys):
     code, out = run(capsys, "classify", "--quadruple", "2,0,0,0")
     assert code == 0
@@ -168,6 +206,9 @@ def test_usage_errors_exit_2():
         ["build-cap", "--preimage", "1,0"],
         ["build-cap", "--preimage", "1,0,0,0"],
         ["analyze-r", "--quadruple", "2,0,0,0", "--target", "1:0:0"],
+        ["build-cap", "--preimage", "4,0,0"],      # digits must be 0/1/2
+        ["build-cap", "--preimage", "0,3,1"],
+        ["analyze-r", "--quadruple", "2,0,0,0", "--target=0:0:0:0:0:3"],
         ["golay"],                         # needs exactly one mode flag
         ["no-such-command"],
     ):
@@ -209,3 +250,38 @@ def test_output_is_deterministic(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[2]
     assert outputs[1] == outputs[3]
+
+
+USAGE = {
+    None: "usage: wittcap [-h]\n"
+    "               {build-cap,verify-design,todd,aut-order,golay,classify,"
+    "scan-cosets,analyze-r,dump-veronese}\n"
+    "               ...\n",
+    "build-cap": "usage: wittcap build-cap [-h] [--format {text,json}] "
+    "[--preimage PREIMAGE]\n",
+    "verify-design": "usage: wittcap verify-design [-h] [--format {text,json}] "
+    "[--preimage PREIMAGE]\n",
+    "todd": "usage: wittcap todd [-h] [--format {text,json}] [--preimage PREIMAGE]\n",
+    "aut-order": "usage: wittcap aut-order [-h] [--format {text,json}] "
+    "[--preimage PREIMAGE]\n",
+    "golay": "usage: wittcap golay [-h] [--format {text,json}] (--emit-matrix | --verify)\n",
+    "classify": "usage: wittcap classify [-h] [--format {text,json}] [--preimage PREIMAGE]\n"
+    "                        --quadruple QUADRUPLE\n",
+    "scan-cosets": "usage: wittcap scan-cosets [-h] [--format {text,json}] "
+    "[--preimage PREIMAGE]\n",
+    "analyze-r": "usage: wittcap analyze-r [-h] [--format {text,json}] "
+    "[--preimage PREIMAGE]\n"
+    "                         --quadruple QUADRUPLE [--target TARGET]\n",
+    "dump-veronese": "usage: wittcap dump-veronese [-h] [--format {text,json}]\n",
+}
+
+
+def test_usage_lines_are_pinned(monkeypatch):
+    # the surface of the command: subcommands, their options and metavars
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = {None: parser, **action.choices}
+    assert sorted(parsers, key=str) == sorted(USAGE, key=str)
+    for name, p in parsers.items():
+        assert p.format_usage() == USAGE[name], name

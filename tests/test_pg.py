@@ -45,6 +45,11 @@ def test_point_text_round_trip():
     assert pg.parse_point(pg.format_point(p)) == p
 
 
+def test_parse_point_rejects_digits_outside_0_1_2():
+    with pytest.raises(ValueError, match="'3'"):
+        pg.parse_point("1:0:3")
+
+
 def test_incidence_duality():
     pts = pg.enumerate_points(2)
     for p, h in itertools.product(pts, pts):
@@ -117,15 +122,15 @@ def test_every_line_has_four_points():
 
 def test_span_of_one_point_is_that_point():
     f = pg.span([(0, 2, 0, 0, 0, 1)])
-    assert pg.flat_dim(f) == 0
+    assert len(f) == 1
     assert f == ((0, 1, 0, 0, 0, 2),)
 
 
 def test_meet_of_two_hyperplanes_has_dimension_three():
     f = pg.flat_from_dual([(1, 0, 0, 0, 0, 0)])
     g = pg.flat_from_dual([(0, 1, 0, 0, 0, 0)])
-    assert pg.flat_dim(f) == 4
-    assert pg.flat_dim(pg.meet(f, g)) == 3
+    assert len(f) == 5
+    assert len(pg.meet(f, g)) == 4
 
 
 def test_span_meet_dimension_formula_on_samples():
@@ -136,9 +141,8 @@ def test_span_meet_dimension_formula_on_samples():
         b = pg.span(rng.sample(pts, 3))
         union = pg.span(list(a) + list(b))
         inter = pg.meet(a, b)
-        lhs = pg.flat_dim(inter)
-        rhs = pg.flat_dim(a) + pg.flat_dim(b) - pg.flat_dim(union)
-        assert lhs == rhs
+        # dim(a meet b) = dim a + dim b - dim(a join b), with dim = len - 1
+        assert len(inter) == len(a) + len(b) - len(union)
 
 
 def test_four_flats_lie_in_exactly_one_hyperplane():
@@ -147,7 +151,7 @@ def test_four_flats_lie_in_exactly_one_hyperplane():
     found = 0
     while found < 20:
         f = pg.span(rng.sample(pts, 5))
-        if pg.flat_dim(f) != 4:
+        if len(f) != 5:
             continue
         found += 1
         assert len(pg.dual_basis(f)) == 1
