@@ -45,10 +45,10 @@ def _base_arg(text: str) -> pg.Point:
 
 
 def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
-    parts = [int(t) for t in text.split(",")]
-    if len(parts) != 4 or any(v not in (0, 1, 2) for v in parts):
+    tokens = text.split(",")
+    if len(tokens) != 4 or any(t not in ("0", "1", "2") for t in tokens):
         raise argparse.ArgumentTypeError("need four entries in {0,1,2} like 2,0,0,0")
-    return tuple(parts)
+    return tuple(int(t) for t in tokens)
 
 
 def _verdict(report: dict, checks: list[tuple[str, bool]]) -> int:

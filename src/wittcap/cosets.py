@@ -16,8 +16,9 @@ twelve-point sets, indexed by quadruples in F^4:
 
 The layer elations of index quadruples summing to 0 extend jointly to
 space collineations; the group of those extensions has order 27 and its
-orbits sweep out the sum-0 and sum-1 classes.  Both kinds of elation, in a
-conic plane and in space, are built by pg.perspectivity from one point pair.
+orbits sweep out the sum-0 and sum-1 classes.  Every elation is a space
+elation built by pg.perspectivity from one point pair; each layer elation is
+the restriction of the previous label's space elation to its conic plane.
 Exotic sets are studied by projecting from the base point: the four conic
 planes flatten to four mutually skew lines, the tangent plane to their
 unique common transversal, and the twelve points land exactly on the lines
@@ -41,10 +42,9 @@ from .veronese import (
     VeroneseModel,
     classify_conic_plane,
     tangent_lines,
-    veronese_map,
 )
-# Unused here; bench/selftest.py checks that the tracer wraps this binding.
-from .veronese import lift_collineation  # noqa: F401
+# Unused here; bench/selftest.py checks that the tracer wraps these bindings.
+from .veronese import lift_collineation, veronese_map  # noqa: F401
 
 # A label is its own position; label 3 is the direction x1 = 0, shown as "inf".
 LABEL_ORDER: tuple[int, ...] = (0, 1, 2, 3)
@@ -75,7 +75,6 @@ _PLANE_AT_INFINITY: Hyperplane = (1, 0, 0)   # line {x0 = 0} of the parameter pl
 @dataclass(frozen=True, eq=False)
 class LayerSystem:
     conics: Mapping[int, Conic]
-    tangents: Mapping[int, frozenset[Point]]
     layers: Mapping[tuple[int, int], frozenset[Point]]
     plane_points: Mapping[int, tuple[Point, ...]]   # pg.flat_points of each conic plane
 
@@ -114,13 +113,6 @@ class ExoticReport:
     projection: ProjectionReport
 
 
-def _preimage(base: Point) -> Point:
-    for x in pg.enumerate_points(2):
-        if veronese_map(x) == base:
-            return x
-    raise ValueError("base must be a surface point")
-
-
 def labeled_conics(model: VeroneseModel, base: Point) -> dict[int, Conic]:
     """The four conics through the base, labelled by the direction of their
     preimage lines: a line through the base preimage meets {x0 = 0} in one
@@ -130,12 +122,13 @@ def labeled_conics(model: VeroneseModel, base: Point) -> dict[int, Conic]:
     line {x0 = 0} then takes the label 3 and the rest are labelled 0, 1, 2
     in lexicographic order of their dual coordinates.
     """
-    pre = _preimage(base)
-    through = [c for c in model.conics if base in c.points]
+    through = model.conics_through(base)
     if len(through) != 4:
         raise ValueError(f"{len(through)} conics pass through {base}, not 4")
     out: dict[int, Conic] = {}
-    if pg.incident(pre, _PLANE_AT_INFINITY):
+    # the base preimage lies on {x0 = 0} exactly when that line's conic
+    # passes through the base
+    if any(c.preimage_line == _PLANE_AT_INFINITY for c in through):
         rest = sorted(
             (c for c in through if c.preimage_line != _PLANE_AT_INFINITY),
             key=lambda c: c.preimage_line,
@@ -161,23 +154,29 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
     internal points, layer 2 = external points off the tangent at the base.
     The system is shared by every caller, so its mappings are read-only."""
     conics = labeled_conics(model, base)
-    tangents: dict[int, frozenset[Point]] = {}
     layers: dict[tuple[int, int], frozenset[Point]] = {}
     plane_points: dict[int, tuple[Point, ...]] = {}
     for k, c in conics.items():
         part = classify_conic_plane(c)
-        t = tangent_lines(c)[base]
-        tangents[k] = t
         layers[(k, 0)] = c.points - {base}
         layers[(k, 1)] = part.internal
-        layers[(k, 2)] = part.external - t
+        layers[(k, 2)] = part.external - tangent_lines(c)[base]
         plane_points[k] = pg.flat_points(c.plane)
     return LayerSystem(
         conics=MappingProxyType(conics),
-        tangents=MappingProxyType(tangents),
         layers=MappingProxyType(layers),
         plane_points=MappingProxyType(plane_points),
     )
+
+
+def _space_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
+    """The space elation with centre at the base and axis the osculating
+    prime of conic k that sends the least conic point x of the next label's
+    layer 0 to its internal partner (unchecked)."""
+    system = conic_layers(model, base)
+    x = min(system.layers[((k + 1) % len(LABEL_ORDER), 0)])
+    axis = model.osculating_primes[system.conics[k]]
+    return pg.perspectivity(base, axis, (x, internal_partner(model, base, x)))
 
 
 @lru_cache(maxsize=None)
@@ -186,17 +185,14 @@ def layer_elation(model: VeroneseModel, base: Point, k: int) -> Mapping[Point, P
     that cycles layer 0 -> 1 -> 2 -> 0, as an explicit (read-only)
     permutation of the 13 points of the conic plane.
 
-    It is the perspectivity sending one conic point to its internal partner;
-    that it cycles the three layers of conic_layers is checked, not assumed.
+    It is the restriction of the previous label's space elation, which sends
+    one conic point to its internal partner and whose axis meets this plane
+    in the tangent; that it cycles the three layers of conic_layers is
+    checked, not assumed.
     """
     system = conic_layers(model, base)
-    coeff_of = dict(zip(system.plane_points[k], pg.enumerate_points(2)))
-    point_of = {c: p for p, c in coeff_of.items()}
-    (axis,) = gf3.nullspace(gf3.mat([coeff_of[p] for p in sorted(system.tangents[k])]))
-    seed = min(system.layers[(k, 0)])
-    partner = internal_partner(model, base, seed)
-    m = pg.perspectivity(coeff_of[base], axis, (coeff_of[seed], coeff_of[partner]))
-    perm = {p: point_of[pg.apply_collineation(m, c)] for p, c in coeff_of.items()}
+    mu = _space_elation(model, base, (k - 1) % len(LABEL_ORDER))
+    perm = {p: pg.apply_collineation(mu, p) for p in system.plane_points[k]}
     for j in (0, 1, 2):
         if {perm[p] for p in system.layers[(k, j)]} != system.layers[(k, (j + 1) % 3)]:
             raise ValueError(
@@ -206,34 +202,15 @@ def layer_elation(model: VeroneseModel, base: Point, k: int) -> Mapping[Point, P
     return MappingProxyType(perm)
 
 
-@lru_cache(maxsize=None)
-def _elation_powers(
-    model: VeroneseModel, base: Point, k: int
-) -> tuple[tuple[Point, ...], ...]:
-    """The images of conic k's plane points (plane_points order) under the
-    0th, 1st and 2nd power of its layer elation."""
-    kappa = layer_elation(model, base, k)
-    images = [conic_layers(model, base).plane_points[k]]
-    for _ in (1, 2):
-        images.append(tuple(kappa[p] for p in images[-1]))
-    return tuple(images)
-
-
 def extended_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
     """The space elation with centre at the base and axis the osculating
     prime of conic k that restricts to the identity on conic k's plane and to
     the first power of the layer elation on each of the other three.
 
-    It is the perspectivity that agrees with the next label's layer elation
-    on one point; the restriction to all four planes is checked, not assumed.
-    For the default base and k = 0 it is the literal BASE_EXTENSION.
+    The restriction to all four planes is checked, not assumed.  For the
+    default base and k = 0 it is the literal BASE_EXTENSION.
     """
-    system = conic_layers(model, base)
-    k_next = (k + 1) % len(LABEL_ORDER)
-    x = min(system.layers[(k_next, 0)])
-    kappa = layer_elation(model, base, k_next)
-    axis = model.osculating_primes[system.conics[k]]
-    mu = pg.perspectivity(base, axis, (x, kappa[x]))
+    mu = _space_elation(model, base, k)
     powers = induced_layer_powers(model, base, mu)
     expected = tuple(int(i != k) for i in LABEL_ORDER)
     if powers != expected:
@@ -253,12 +230,16 @@ def induced_layer_powers(
     system = conic_layers(model, base)
     out = []
     for k in LABEL_ORDER:
-        image = tuple(pg.apply_collineation(g, p) for p in system.plane_points[k])
-        powers = _elation_powers(model, base, k)
-        e = next((e for e in (0, 1, 2) if image == powers[e]), None)
-        if e is None:
+        kappa = layer_elation(model, base, k)
+        power = system.plane_points[k]
+        image = tuple(pg.apply_collineation(g, p) for p in power)
+        for e in (0, 1, 2):
+            if image == power:
+                out.append(e)
+                break
+            power = tuple(kappa[p] for p in power)
+        else:
             return None
-        out.append(e)
     return tuple(out)
 
 
@@ -458,13 +439,12 @@ def analyze_exotic(
     if classify(model, base, s) != "exotic":
         raise ValueError("not an exotic (sum 2 mod 3) twelve-set")
     primes = pg.hyperplanes_meeting(5, s.points, 6)
-    common = gf3.nullspace(gf3.mat(primes))
+    common = pg.flat_from_dual(primes)   # rref rows, so already canonical
     if len(common) != 1:
         raise ValueError("six-point primes do not meet in a single point")
-    common_point = pg.canonical_point(common[0])
     if target is None:
         target = default_projection_target(base)
     projection = project_from_base(model, base, s, target)
     return ExoticReport(
-        six_point_primes=primes, common_point=common_point, projection=projection
+        six_point_primes=primes, common_point=common[0], projection=projection
     )

@@ -197,11 +197,14 @@ def test_dump_veronese(capsys):
         assert len(points) == 4
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     for argv in (
         [],
         ["classify"],                      # missing --quadruple
         ["classify", "--quadruple", "9,0,0,0"],
+        ["classify", "--quadruple", "+2,0,0,00"],   # entries are the digits 0/1/2
+        ["classify", "--quadruple", " 2,0,0,0"],
+        ["classify", "--quadruple", "a,0,0,0"],
         ["build-cap", "--preimage", "0,0,0"],
         ["build-cap", "--preimage", "1,0"],
         ["build-cap", "--preimage", "1,0,0,0"],
@@ -215,6 +218,9 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        if "a,0,0,0" in argv:
+            assert "four entries" in stderr
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from wittcap.veronese import (
     classify_conic_plane,
     lift_collineation,
     plane_lines,
+    tangent_lines,
     veronese_map,
 )
 
@@ -18,6 +19,16 @@ from wittcap.veronese import (
 SURFACE_PROFILE = {0: 3, 1: 36, 3: 76, 4: 171, 6: 42, 7: 36}
 CAP_PROFILE = {0: 12, 3: 220, 6: 132}
 EXOTIC_PROFILE = {0: 3, 2: 90, 3: 76, 5: 144, 6: 42, 8: 9}
+
+# every (base preimage, label); the default base (1,0,0) keeps the bare label
+# as its id
+BASE_LABELS = [
+    pytest.param(
+        pre, k, id=name if pre == (1, 0, 0) else f"{pg.format_point(pre)}-{name}"
+    )
+    for pre in pg.enumerate_points(2)
+    for k, name in zip(cosets.LABEL_ORDER, cosets.LABEL_NAMES)
+]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +59,7 @@ def test_layers_partition_plane_minus_base_and_tangent(base, system):
             system.layers[(k, 0)] | system.layers[(k, 1)] | system.layers[(k, 2)]
         )
         assert len(union) == 9
-        assert union == plane_pts - ({base} | system.tangents[k])
+        assert union == plane_pts - ({base} | tangent_lines(system.conics[k])[base])
 
 
 def test_layer_one_is_the_internal_point_set(system):
@@ -62,16 +73,20 @@ def test_layers_rejects_non_surface_base(model):
         cosets.conic_layers(model, (1, 1, 0, 0, 0, 0))
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
-def test_elation_fixes_base_and_tangent(model, base, system, k):
+@pytest.mark.parametrize("pre, k", BASE_LABELS)
+def test_elation_fixes_base_and_tangent(model, pre, k):
+    base = veronese_map(pre)
+    system = cosets.conic_layers(model, base)
     kappa = cosets.layer_elation(model, base, k)
     assert kappa[base] == base
-    for p in system.tangents[k]:
+    for p in tangent_lines(system.conics[k])[base]:
         assert kappa[p] == p
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
-def test_elation_cycles_layers_and_cubes_to_identity(model, base, system, k):
+@pytest.mark.parametrize("pre, k", BASE_LABELS)
+def test_elation_cycles_layers_and_cubes_to_identity(model, pre, k):
+    base = veronese_map(pre)
+    system = cosets.conic_layers(model, base)
     kappa = cosets.layer_elation(model, base, k)
     for j in (0, 1, 2):
         source = system.layers[(k, j)]
@@ -80,13 +95,53 @@ def test_elation_cycles_layers_and_cubes_to_identity(model, base, system, k):
     assert len(kappa) == 13
 
 
-@pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
-def test_elation_restricted_to_conic_agrees_with_internal_partner(
-    model, base, system, k
-):
+@pytest.mark.parametrize("pre, k", BASE_LABELS)
+def test_elation_restricted_to_conic_agrees_with_internal_partner(model, pre, k):
+    base = veronese_map(pre)
+    system = cosets.conic_layers(model, base)
     kappa = cosets.layer_elation(model, base, k)
     for y in system.layers[(k, 0)]:
         assert kappa[y] == capmod.internal_partner(model, base, y)
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_layer_elation_is_the_restriction_of_the_previous_extension(model, pre):
+    base = veronese_map(pre)
+    system = cosets.conic_layers(model, base)
+    for k in cosets.LABEL_ORDER:
+        kappa = cosets.layer_elation(model, base, k)
+        mu = cosets.extended_elation(model, base, (k - 1) % 4)
+        for p in system.plane_points[k]:
+            assert kappa[p] == pg.apply_collineation(mu, p)
+
+
+def _labels_by_preimage(model, base):
+    # the labelling rule read off the base preimage found by search
+    (pre,) = [x for x in pg.enumerate_points(2) if veronese_map(x) == base]
+    through = model.conics_through(base)
+    if pg.incident(pre, (1, 0, 0)):
+        rest = sorted(
+            (c for c in through if c.preimage_line != (1, 0, 0)),
+            key=lambda c: c.preimage_line,
+        )
+        (omega,) = [c for c in through if c.preimage_line == (1, 0, 0)]
+        return {**dict(zip((0, 1, 2), rest)), 3: omega}
+    out = {}
+    for c in through:
+        a = c.preimage_line
+        direction = pg.canonical_point((0, a[2], (-a[1]) % 3))
+        out[3 if direction[1] == 0 else direction[2]] = c
+    return out
+
+
+def test_labels_at_every_base(model):
+    degenerate = 0
+    for pre in pg.enumerate_points(2):
+        base = veronese_map(pre)
+        want = _labels_by_preimage(model, base)
+        assert dict(cosets.conic_layers(model, base).conics) == want
+        degenerate += pre[0] == 0
+    assert degenerate == 4
 
 
 def test_layer_elation_rejects_swapped_layers(model, base, monkeypatch):
@@ -100,7 +155,6 @@ def test_layer_elation_rejects_swapped_layers(model, base, monkeypatch):
         cosets.conic_layers,
         cosets.layer_elation,
         cosets.reference_profiles,
-        cosets._elation_powers,
         cosets._projection_frame,
         cosets.default_projection_target,
     )
