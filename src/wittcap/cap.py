@@ -61,9 +61,7 @@ class Design:
 @dataclass(frozen=True)
 class WittReport:
     ok: bool
-    point_count: int
     block_count: int
-    block_sizes_ok: bool
     five_cover_unique: bool
     first_violation: tuple[tuple[Point, ...], int] | None
     quad_cover_value: int | None
@@ -133,8 +131,8 @@ def build_dual_cap(model: VeroneseModel, base: Point) -> DualCap:
     if not model.is_surface_point(base):
         raise ValueError("base must be a surface point")
     primes = {model.osculating_primes[c] for c in model.conics if base not in c.points}
-    singletons = pg.hyperplanes_meeting(5, model.points, 1)
-    primes |= {h for h in singletons if pg.incident(base, h)}
+    singletons = pg.sections(5, model.points, 1)
+    primes |= {h for h, section in singletons.items() if section == {base}}
     return DualCap(primes=frozenset(primes))
 
 
@@ -144,12 +142,9 @@ def _point_set(cap: CapSet | Iterable[Point]) -> frozenset[Point]:
 
 def blocks(cap: CapSet | Iterable[Point]) -> Design:
     """All 6-point hyperplane sections of a 12-point set, with carriers."""
-    pts = sorted(_point_set(cap))
-    out = []
-    for h in pg.hyperplanes_meeting(5, pts, 6):
-        section = frozenset(p for p in pts if pg.incident(p, h))
-        out.append(Block(points=section, prime=h))
-    return Design(points=tuple(pts), blocks=tuple(out))
+    pts = tuple(sorted(_point_set(cap)))
+    out = tuple(Block(points=s, prime=h) for h, s in pg.sections(5, pts, 6).items())
+    return Design(points=pts, blocks=out)
 
 
 def missed_primes(cap: CapSet | Iterable[Point]) -> tuple[Hyperplane, ...]:
@@ -195,9 +190,7 @@ def verify_witt(design: Design) -> WittReport:
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
         ok=len(pts) == 12 and sizes_ok and violation is None,
-        point_count=len(pts),
         block_count=len(design.blocks),
-        block_sizes_ok=sizes_ok,
         five_cover_unique=violation is None,
         first_violation=violation,
         quad_cover_value=quad_counts.pop() if quad_constant else None,

@@ -264,7 +264,9 @@ def hyperplane_profile(points) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def reference_profiles(model: VeroneseModel, base: Point) -> dict[int, dict[int, int]]:
+def reference_profiles(
+    model: VeroneseModel, base: Point
+) -> Mapping[int, Mapping[int, int]]:
     """The three per-class hyperplane profiles, computed from one
     representative each; they must be pairwise distinct."""
     reps = {0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (2, 0, 0, 0)}
@@ -273,7 +275,7 @@ def reference_profiles(model: VeroneseModel, base: Point) -> dict[int, dict[int,
     }
     if len({tuple(p.items()) for p in profiles.values()}) != 3:
         raise ValueError(f"class profiles at {base} are not distinct: {profiles}")
-    return profiles
+    return MappingProxyType({cls: MappingProxyType(p) for cls, p in profiles.items()})
 
 
 def classify(model: VeroneseModel, base: Point, s: TwelveSet) -> str:

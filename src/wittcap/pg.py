@@ -66,53 +66,52 @@ def incident(p: Sequence[int], h: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def hyperplane_point_masks(n: int) -> tuple[int, ...]:
-    """For each hyperplane (enumeration order), the incident points as a bitmask
-    over point indices.  Its only reader is _point_lanes."""
+def hyperplane_point_masks(n: int) -> Mapping[Hyperplane, int]:
+    """The point-prime incidence table: for each hyperplane (enumeration
+    order), an int holding one byte per point (enumeration order, lowest byte
+    first), 1 if the point lies on it.  Incidence is symmetric and hyperplanes
+    are enumerated like points, so the entry of h, read with h taken as a
+    point, is that point's lane over the hyperplanes."""
     points = enumerate_points(n)
-    masks = []
+    rows = {}
     for h in enumerate_hyperplanes(n):
-        m = 0
+        row = bytearray(len(points))
         for i, p in enumerate(points):
             if gf3.dot(p, h) == 0:
-                m |= 1 << i
-        masks.append(m)
-    return tuple(masks)
-
-
-_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
-
-
-@lru_cache(maxsize=None)
-def _point_lanes(n: int) -> Mapping[Point, int]:
-    """For each point, an int holding one byte per hyperplane (enumeration
-    order, lowest byte first): 1 if the point lies on it.  Summing the lanes
-    of distinct points counts them per hyperplane, so a lane must hold a
-    whole hyperplane's (3^n - 1)/2 points without carrying into the next.
-
-    Incidence is symmetric and hyperplanes are enumerated like points, so
-    the lane of point i is the mask of hyperplane i spread to bytes."""
-    if (3**n - 1) // 2 > 255:
-        raise ValueError(f"PG({n},3) hyperplanes hold more than 255 points")
-    width = len(enumerate_points(n))
-    return MappingProxyType({
-        p: int.from_bytes(format(m, f"0{width}b")[::-1].encode().translate(_BIT_TO_BYTE),
-                          "little")
-        for p, m in zip(enumerate_points(n), hyperplane_point_masks(n))
-    })
+                row[i] = 1
+        rows[h] = int.from_bytes(row, "little")
+    return MappingProxyType(rows)
 
 
 def section_sizes(n: int, pts: Iterable[Point]) -> tuple[int, ...]:
     """|h and pts| for every hyperplane, in enumeration order.  The points
-    must be canonical; a repeated point counts once.  Needs n <= 5."""
-    lanes = _point_lanes(n)
-    return tuple(sum(lanes[p] for p in set(pts)).to_bytes(len(lanes), "little"))
+    must be canonical; a repeated point counts once.  Needs n <= 5: a byte
+    must hold a whole hyperplane's (3^n - 1)/2 points without carrying."""
+    if (3**n - 1) // 2 > 255:
+        raise ValueError(f"PG({n},3) hyperplanes hold more than 255 points")
+    rows = hyperplane_point_masks(n)
+    return tuple(sum(rows[p] for p in set(pts)).to_bytes(len(rows), "little"))
 
 
 def hyperplanes_meeting(n: int, pts: Iterable[Point], k: int) -> tuple[Hyperplane, ...]:
     """The hyperplanes carrying exactly k of the points, in enumeration order."""
     sizes = section_sizes(n, pts)
     return tuple(h for h, size in zip(enumerate_hyperplanes(n), sizes) if size == k)
+
+
+def sections(n: int, pts: Iterable[Point], k: int) -> dict[Hyperplane, frozenset[Point]]:
+    """The hyperplanes carrying exactly k of the points, in enumeration order,
+    each with the points it carries: by symmetry, a point lies on hyperplane j
+    iff byte j of its own table entry is 1."""
+    pts = set(pts)
+    sizes = section_sizes(n, pts)
+    rows = hyperplane_point_masks(n)
+    lanes = {p: rows[p].to_bytes(len(rows), "little") for p in pts}
+    return {
+        h: frozenset(p for p in pts if lanes[p][j])
+        for j, (h, size) in enumerate(zip(enumerate_hyperplanes(n), sizes))
+        if size == k
+    }
 
 
 def line_through(a: Point, b: Point) -> tuple[Point, ...]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import gf3, pg
@@ -103,8 +104,8 @@ def build_model() -> VeroneseModel:
     return VeroneseModel(
         points=surface,
         conics=conics,
-        tangent_planes=tangent,
-        osculating_primes=osculating,
+        tangent_planes=MappingProxyType(tangent),
+        osculating_primes=MappingProxyType(osculating),
     )
 
 

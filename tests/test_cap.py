@@ -112,6 +112,19 @@ def test_blocks_are_six_point_sections(cap, design):
         assert b.points == {p for p in cap.points if pg.incident(p, b.prime)}
 
 
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_blocks_equal_a_rebuild_by_incidence_tests(model, pre):
+    # the sections as they were once read: every 6-point prime re-tested
+    # point by point with pg.incident
+    cap = capmod.build_cap(model, veronese_map(pre))
+    pts = sorted(cap.points)
+    expected = tuple(
+        capmod.Block(points=frozenset(p for p in pts if pg.incident(p, h)), prime=h)
+        for h in pg.hyperplanes_meeting(5, pts, 6)
+    )
+    assert capmod.blocks(cap) == capmod.Design(points=tuple(pts), blocks=expected)
+
+
 def test_every_five_subset_in_exactly_one_block(design):
     block_sets = [b.points for b in design.blocks]
     for five in itertools.combinations(sorted(design.points), 5):

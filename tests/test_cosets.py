@@ -182,6 +182,18 @@ def test_cached_geometry_is_read_only(model, base, system):
     first = cosets.project_from_base(model, base, s, target)
     first.lines[0] = ()
     assert cosets.project_from_base(model, base, s, target).lines[0] != ()
+    profiles = cosets.reference_profiles(model, base)
+    with pytest.raises(TypeError):
+        profiles[0][3] = 0
+    with pytest.raises(TypeError):
+        profiles[0] = {}
+    prime = model.osculating_primes[system.conics[1]]
+    with pytest.raises(TypeError):
+        model.osculating_primes[system.conics[0]] = prime
+    with pytest.raises(TypeError):
+        model.tangent_planes[base] = ()
+    surface = cosets.twelve_set(model, base, (0, 0, 0, 0))
+    assert cosets.classify(model, base, surface) == "surface"
 
 
 def test_next_layer_is_internal_points_of_previous_layer_conic(

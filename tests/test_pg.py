@@ -58,7 +58,19 @@ def test_incidence_duality():
 
 def test_every_hyperplane_of_pg53_has_121_points():
     masks = pg.hyperplane_point_masks(5)
-    assert all(m.bit_count() == 121 for m in masks)
+    assert all(m.bit_count() == 121 for m in masks.values())
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_incidence_table_matches_brute_force_dot_products(n):
+    # one byte per point, lowest byte first: 1 on the hyperplane, 0 off it
+    pts = pg.enumerate_points(n)
+    table = pg.hyperplane_point_masks(n)
+    assert tuple(table) == pg.enumerate_hyperplanes(n)
+    for h, row in table.items():
+        assert row.to_bytes(len(pts), "little") == bytes(
+            int(gf3.dot(p, h) == 0) for p in pts
+        )
 
 
 @pytest.mark.parametrize("repeats", [0, 3])
@@ -75,6 +87,10 @@ def test_section_sizes_match_brute_force_incidence(repeats):
         assert pg.hyperplanes_meeting(5, pts, k) == tuple(
             h for h, size in zip(pg.enumerate_hyperplanes(5), sizes) if size == k
         )
+        sections = pg.sections(5, pts, k)
+        assert tuple(sections) == pg.hyperplanes_meeting(5, pts, k)
+        for h, section in sections.items():
+            assert section == {p for p in pts if pg.incident(p, h)}
 
 
 @pytest.mark.parametrize("n", [2, 5])
