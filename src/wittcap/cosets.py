@@ -249,6 +249,8 @@ def all_quadruples() -> tuple[Quadruple, ...]:
 
 def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
     """Union of one layer per conic, as dictated by the quadruple."""
+    if len(quad) != len(LABEL_ORDER):
+        raise ValueError(f"quadruple {tuple(quad)} has {len(quad)} entries, not 4")
     system = conic_layers(model, base)
     quad = tuple(q % 3 for q in quad)
     pts: set[Point] = set()
@@ -257,10 +259,9 @@ def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
     return TwelveSet(points=frozenset(pts), quadruple=quad)
 
 
-def hyperplane_profile(points) -> dict[int, int]:
+def hyperplane_profile(s: TwelveSet) -> dict[int, int]:
     """Histogram of |prime and set| over all 364 primes of PG(5,3)."""
-    pts = points.points if isinstance(points, TwelveSet) else points
-    return dict(sorted(Counter(pg.section_sizes(5, pts)).items()))
+    return dict(sorted(Counter(pg.section_sizes(5, s.points)).items()))
 
 
 @lru_cache(maxsize=None)
@@ -370,18 +371,18 @@ def _projection_frame(
     """The set-independent part of the projection from the base onto the
     target: the four lines cut by the conic planes (read-only), the
     transversal cut by the tangent plane, and the line points off the
-    transversal.  The lines must be mutually skew and each must meet the
-    transversal once; a violation raises."""
+    transversal.  Each cut is read as the plane's points on the target.  The
+    lines must be mutually skew and each must meet the transversal once; a
+    violation raises."""
     if pg.incident(base, target):
         raise ValueError("target prime contains the base point")
-    target_flat = pg.flat_from_dual([target])
     system = conic_layers(model, base)
-    lines: dict[int, tuple[Point, ...]] = {}
-    for k in LABEL_ORDER:
-        line_flat = pg.meet(system.conics[k].plane, target_flat)
-        lines[k] = tuple(sorted(pg.flat_points(line_flat)))
-    transversal_flat = pg.meet(model.tangent_planes[base], target_flat)
-    transversal = tuple(sorted(pg.flat_points(transversal_flat)))
+    lines = {
+        k: tuple(sorted(p for p in system.plane_points[k] if pg.incident(p, target)))
+        for k in LABEL_ORDER
+    }
+    tangent = pg.flat_points(model.tangent_planes[base])
+    transversal = tuple(sorted(p for p in tangent if pg.incident(p, target)))
     if len(transversal) != 4 or any(len(l) != 4 for l in lines.values()):
         raise ValueError("projection did not produce lines")
     for a, b in itertools.combinations(LABEL_ORDER, 2):
@@ -441,7 +442,7 @@ def analyze_exotic(
     if classify(model, base, s) != "exotic":
         raise ValueError("not an exotic (sum 2 mod 3) twelve-set")
     primes = pg.hyperplanes_meeting(5, s.points, 6)
-    common = pg.flat_from_dual(primes)   # rref rows, so already canonical
+    common = pg.hyperplanes_meeting(5, primes, len(primes))
     if len(common) != 1:
         raise ValueError("six-point primes do not meet in a single point")
     if target is None:

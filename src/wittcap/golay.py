@@ -78,7 +78,7 @@ def minimum_distance(code: TernaryCode) -> int:
 def is_self_dual(code: TernaryCode) -> bool:
     """All generator rows pairwise (and self) orthogonal, and rank 6."""
     g = code.generator
-    if gf3.rank(g) != 6:
+    if code_rank(code) != 6:
         return False
     return all(
         gf3.dot(g[i], g[j]) == 0 for i in range(6) for j in range(i, 6)

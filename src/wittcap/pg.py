@@ -94,7 +94,9 @@ def section_sizes(n: int, pts: Iterable[Point]) -> tuple[int, ...]:
 
 
 def hyperplanes_meeting(n: int, pts: Iterable[Point], k: int) -> tuple[Hyperplane, ...]:
-    """The hyperplanes carrying exactly k of the points, in enumeration order."""
+    """The hyperplanes carrying exactly k of the points, in enumeration order.
+    The table is symmetric, so it also reads dually: given m hyperplanes in
+    place of the points and k = m, it returns the points on all of them."""
     sizes = section_sizes(n, pts)
     return tuple(h for h, size in zip(enumerate_hyperplanes(n), sizes) if size == k)
 
@@ -192,10 +194,6 @@ def apply_collineation(c: Collineation, p: Sequence[int]) -> Point:
 def compose(a: Collineation, b: Collineation) -> Collineation:
     """Apply a, then b (row-vector convention: x * (a b) = (x * a) * b)."""
     return canonical_collineation(gf3.mat_mul(a, b))
-
-
-def inverse(c: Collineation) -> Collineation:
-    return canonical_collineation(gf3.mat_inv(c))
 
 
 def perspectivity(

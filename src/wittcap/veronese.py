@@ -147,16 +147,11 @@ def tangent_lines(c: Conic) -> dict[Point, frozenset[Point]]:
 
 def classify_conic_plane(c: Conic) -> ConicPartition:
     """Partition the conic plane: internal points lie on no tangent line of
-    the conic, external points on exactly two."""
-    tangents = tangent_lines(c).values()
-    internal, external = [], []
-    for p in pg.flat_points(c.plane):
-        if p in c.points:
-            continue
-        n = sum(1 for t in tangents if p in t)
-        (internal if n == 0 else external).append(p)
+    the conic, external points on some (each on exactly two)."""
+    touched = frozenset().union(*tangent_lines(c).values())
+    rest = frozenset(pg.flat_points(c.plane)) - c.points
     return ConicPartition(
-        on_conic=c.points, internal=frozenset(internal), external=frozenset(external)
+        on_conic=c.points, internal=rest - touched, external=rest & touched
     )
 
 

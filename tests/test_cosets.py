@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import re
 
 import pytest
@@ -263,6 +264,12 @@ def test_twelve_set_base_cases(model, base, cap):
     assert s1.points == cap.points
 
 
+@pytest.mark.parametrize("quad", [(1, 1, 1), (1, 0, 0, 0, 2)], ids=["3", "5"])
+def test_twelve_set_rejects_a_quadruple_of_the_wrong_length(model, base, quad):
+    with pytest.raises(ValueError, match=re.escape(str(quad))):
+        cosets.twelve_set(model, base, quad)
+
+
 def test_all_81_twelve_sets_have_12_points(model, base):
     for q in cosets.all_quadruples():
         assert len(cosets.twelve_set(model, base, q).points) == 12
@@ -491,6 +498,29 @@ def test_projection_rejects_a_point_projected_off_the_target(model, base, monkey
     monkeypatch.setattr(cosets, "_project", lambda b, h, x: off)
     with pytest.raises(ValueError, match=re.escape(str(off))):
         cosets.project_from_base(model, base, s, target)
+
+
+def _meet_frame(model, base, target):
+    """The frame by solving for it: each plane met with the target prime."""
+    target_flat = pg.flat_from_dual([target])
+
+    def cut(plane):
+        return tuple(sorted(pg.flat_points(pg.meet(plane, target_flat))))
+
+    system = cosets.conic_layers(model, base)
+    lines = {k: cut(system.conics[k].plane) for k in cosets.LABEL_ORDER}
+    return lines, cut(model.tangent_planes[base])
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_projection_frame_matches_meeting_the_planes_with_the_target(model, pre):
+    base = veronese_map(pre)
+    off_base = pg.hyperplanes_meeting(5, [base], 0)
+    rng = random.Random(pg.enumerate_points(2).index(pre))
+    for target in [cosets.default_projection_target(base), *rng.sample(off_base, 5)]:
+        lines, transversal, off = cosets._projection_frame(model, base, target)
+        assert (dict(lines), transversal) == _meet_frame(model, base, target)
+        assert off == set().union(*lines.values()) - set(transversal)
 
 
 def test_projection_rejects_target_through_base(model, base):

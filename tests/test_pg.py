@@ -116,6 +116,31 @@ def test_section_sizes_refuses_hyperplanes_wider_than_a_byte_lane():
     assert pg.enumerate_points.cache_info().currsize == points_before
 
 
+def _common_points(hs):
+    """Reference: the points of the flat cut out by the hyperplanes, sorted."""
+    f = pg.flat_from_dual(hs)
+    return tuple(sorted(pg.flat_points(f))) if f else ()
+
+
+def test_hyperplanes_meeting_reads_the_common_points_of_hyperplanes():
+    # hyperplanes given in place of points: the "hyperplanes" carrying all m
+    # of them are the points on every one, in enumeration order
+    rng = random.Random(12)
+    pts = pg.enumerate_points(5)
+    cases = [rng.sample(pts, m) for m in (1, 2, 7, 12)]
+    for d in range(5):
+        f = pg.span(rng.sample(pts, d + 1))
+        through = [h for h in pts if all(pg.incident(p, h) for p in f)]
+        cases.append(rng.sample(through, min(len(through), 7 - len(f))))
+        cases.append(through)      # all primes through a point, a line, ...
+    sizes = set()
+    for hs in cases:
+        want = _common_points(hs)
+        assert pg.hyperplanes_meeting(5, hs, len(hs)) == want
+        sizes.add(len(want))
+    assert {0, 1, 4} <= sizes and max(sizes) > 4
+
+
 def test_line_through_examples():
     a = (1, 0, 0, 0, 0, 0)
     b = (0, 0, 0, 1, 0, 0)
@@ -274,4 +299,4 @@ def test_compose_and_inverse():
             continue
         found += 1
         c = pg.canonical_collineation(m)
-        assert pg.compose(c, pg.inverse(c)) == eye
+        assert pg.compose(c, pg.canonical_collineation(gf3.mat_inv(c))) == eye
