@@ -30,9 +30,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
-from typing import Mapping
+from typing import Collection, Iterable, Mapping
 
 from . import gf3, pg
 from .cap import internal_partner
@@ -169,10 +169,11 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
     )
 
 
+@lru_cache(maxsize=None)
 def _space_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
     """The space elation with centre at the base and axis the osculating
     prime of conic k that sends the least conic point x of the next label's
-    layer 0 to its internal partner (unchecked)."""
+    layer 0 to its internal partner (unchecked; extended_elation checks it)."""
     system = conic_layers(model, base)
     x = min(system.layers[((k + 1) % len(LABEL_ORDER), 0)])
     axis = model.osculating_primes[system.conics[k]]
@@ -211,28 +212,33 @@ def extended_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
     default base and k = 0 it is the literal BASE_EXTENSION.
     """
     mu = _space_elation(model, base, k)
-    powers = induced_layer_powers(model, base, mu)
+    _check_extension(base, k, induced_layer_powers(model, base, mu))
+    return mu
+
+
+def _check_extension(base: Point, k: int, powers: tuple[int, ...] | None) -> None:
     expected = tuple(int(i != k) for i in LABEL_ORDER)
     if powers != expected:
         raise ValueError(
             f"extension of conic {LABEL_NAMES[k]} at {base} induces powers {powers}, "
             f"not {expected}"
         )
-    return mu
 
 
 def induced_layer_powers(
-    model: VeroneseModel, base: Point, g: Collineation
+    model: VeroneseModel, base: Point, g: Collineation | Mapping[Point, Point]
 ) -> tuple[int, ...] | None:
     """Which power of each conic plane's layer elation a collineation induces,
     or None if it fails to preserve some conic plane or induces something
-    else entirely."""
+    else entirely.  The collineation is given by its matrix, or by its action
+    on the points of the four conic planes as group_closure returns it."""
     system = conic_layers(model, base)
+    act = g.__getitem__ if isinstance(g, Mapping) else partial(pg.apply_collineation, g)
     out = []
     for k in LABEL_ORDER:
         kappa = layer_elation(model, base, k)
         power = system.plane_points[k]
-        image = tuple(pg.apply_collineation(g, p) for p in power)
+        image = tuple(map(act, power))
         for e in (0, 1, 2):
             if image == power:
                 out.append(e)
@@ -292,25 +298,37 @@ def classify(model: VeroneseModel, base: Point, s: TwelveSet) -> str:
     return CLASS_NAMES[cls]
 
 
-def group_closure(generators) -> set[Collineation]:
-    gens = [pg.canonical_collineation(g) for g in generators]
-    n = len(gens[0])
-    found = {gf3.identity(n)} | set(gens)
-    frontier = list(found)
+def group_closure(
+    generators: Iterable[Collineation], points: Collection[Point]
+) -> dict[Collineation, Mapping[Point, Point]]:
+    """The group the collineations generate, each element (canonical matrix)
+    with its action on the points.  Only the generators are applied; a
+    product g h (g first) acts as p -> h(g(p)).  Every generator must map the
+    points into themselves; one that does not raises with the point."""
+    gens = []
+    for g in generators:
+        g = pg.canonical_collineation(g)
+        act = {p: pg.apply_collineation(g, p) for p in points}
+        off = next((p for p in act if act[p] not in act), None)
+        if off is not None:
+            raise ValueError(
+                f"generator {g} sends {pg.format_point(off)} to "
+                f"{pg.format_point(act[off])}, off the point set"
+            )
+        gens.append((g, act))
+    identity = gf3.identity(len(gens[0][0]))
+    found = {identity: {p: p for p in points}, **dict(gens)}
+    frontier = list(found.items())
     while frontier:
         fresh = []
-        for g in frontier:
-            for h in gens:
+        for g, act_g in frontier:
+            for h, act_h in gens:
                 gh = pg.compose(g, h)
                 if gh not in found:
-                    found.add(gh)
-                    fresh.append(gh)
+                    found[gh] = {p: act_h[q] for p, q in act_g.items()}
+                    fresh.append((gh, found[gh]))
         frontier = fresh
     return found
-
-
-def apply_to_set(g: Collineation, pts: frozenset[Point]) -> frozenset[Point]:
-    return frozenset(pg.apply_collineation(g, p) for p in pts)
 
 
 def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
@@ -319,13 +337,19 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     The group must have order 27, each element must induce a quadruple of
     layer-elation powers summing to 0 mod 3 (bijectively), and its orbits on
     the base twelve-sets must cover the whole sum-0 class and the whole sum-1
-    class.  No element induces the all-first-powers quadruple.
+    class.  No element induces the all-first-powers quadruple.  The power
+    quadruples and the images of the start sets are read from each element's
+    action on the four conic planes, as group_closure carries it.
     """
-    mus = [extended_elation(model, base, k) for k in LABEL_ORDER]
-    group = sorted(group_closure(mus))
+    support = sorted(set().union(*conic_layers(model, base).plane_points.values()))
+    mus = [_space_elation(model, base, k) for k in LABEL_ORDER]
+    actions = group_closure(mus, support)
+    for k, mu in zip(LABEL_ORDER, mus):
+        _check_extension(base, k, induced_layer_powers(model, base, actions[mu]))
+    group = sorted(actions)
     induced: dict[Collineation, Quadruple] = {}
     for g in group:
-        powers = induced_layer_powers(model, base, g)
+        powers = induced_layer_powers(model, base, actions[g])
         if powers is None:
             raise ValueError(f"group element {g} does not induce layer elations")
         induced[g] = powers
@@ -339,8 +363,7 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     for cls, rep in ((0, (0, 0, 0, 0)), (1, (1, 1, 1, 1))):
         start = twelve_set(model, base, rep).points
         for g in group:
-            image = apply_to_set(g, start)
-            q = sets_by_points.get(image)
+            q = sets_by_points.get(frozenset(map(actions[g].__getitem__, start)))
             if q is not None and q not in witnesses[cls]:
                 witnesses[cls][q] = g
     surface_quads = {q for q in all_quadruples() if sum(q) % 3 == 0}

@@ -163,8 +163,11 @@ def symmetric_matrix(y: Sequence[int]) -> Matrix:
 
 def chordal_cubic_contains(y: Sequence[int]) -> bool:
     """True iff the point lies on a chord (bisecant or tangent) of the
-    surface, i.e. its symmetric matrix has rank <= 2."""
-    return gf3.det3(symmetric_matrix(y)) == 0
+    surface, i.e. its symmetric matrix has rank <= 2: the closed-form
+    determinant of that matrix vanishes."""
+    y0, y1, y2, y3, y4, y5 = y
+    return (y0 * (y3 * y5 - y4 * y4) - y1 * (y1 * y5 - y2 * y4)
+            + y2 * (y1 * y4 - y2 * y3)) % 3 == 0
 
 
 def lift_collineation(a: Matrix) -> Collineation:

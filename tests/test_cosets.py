@@ -346,12 +346,12 @@ def test_orbit_witnesses_actually_witness(model, base):
     report = cosets.verify_orbit_equivalence(model, base)
     start0 = cosets.twelve_set(model, base, (0, 0, 0, 0)).points
     for quad, g in report.surface_witnesses.items():
-        assert cosets.apply_to_set(g, start0) == cosets.twelve_set(
+        assert {pg.apply_collineation(g, p) for p in start0} == cosets.twelve_set(
             model, base, quad
         ).points
     start1 = cosets.twelve_set(model, base, (1, 1, 1, 1)).points
     for quad, g in report.cap_witnesses.items():
-        assert cosets.apply_to_set(g, start1) == cosets.twelve_set(
+        assert {pg.apply_collineation(g, p) for p in start1} == cosets.twelve_set(
             model, base, quad
         ).points
 
@@ -402,7 +402,7 @@ def test_rearranged_quadruples_are_witnessed_equivalent(model, base, system):
         )
     for quad in [(0, 1, 2, 0), (2, 1, 0, 1), (1, 1, 2, 2)]:
         s = cosets.twelve_set(model, base, quad)
-        image_pts = cosets.apply_to_set(lifted, s.points)
+        image_pts = {pg.apply_collineation(lifted, p) for p in s.points}
         permuted = [0, 0, 0, 0]
         for i, k in enumerate(cosets.LABEL_ORDER):
             permuted[cosets.LABEL_ORDER.index(perm[k])] = quad[i]
@@ -550,6 +550,34 @@ def test_everything_works_at_a_non_default_base(model):
         assert exotic.common_point == base2
 
 
+def _coordinate_permutation(perm):
+    """The 6x6 matrix sending coordinate i to coordinate perm[i]."""
+    return tuple(tuple(int(j == perm[i]) for j in range(6)) for i in range(6))
+
+
+def test_group_closure_carries_the_action_of_a_non_abelian_group():
+    # a transposition and a 3-cycle of the first three coordinates generate
+    # S3, where g h != h g, so a reversed composition would carry the wrong
+    # action; the point set, every point of PG(5,3), is invariant
+    swap = _coordinate_permutation((1, 0, 2, 3, 4, 5))
+    cycle = _coordinate_permutation((1, 2, 0, 3, 4, 5))
+    assert pg.compose(swap, cycle) != pg.compose(cycle, swap)
+    points = pg.enumerate_points(5)
+    closure = cosets.group_closure([swap, cycle], points)
+    assert len(closure) == 6
+    for g, act in closure.items():
+        assert act == {p: pg.apply_collineation(g, p) for p in points}
+
+
+def test_group_closure_names_a_generator_that_leaves_the_point_set():
+    swap = _coordinate_permutation((3, 1, 2, 0, 4, 5))
+    points = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+    with pytest.raises(ValueError, match=re.escape(
+        f"generator {swap} sends 1:0:0:0:0:0 to 0:0:0:1:0:0, off the point set"
+    )):
+        cosets.group_closure([swap], points)
+
+
 # Per-point reference routines: each collineation image by an explicit
 # canonical vec_mat, elation powers by composing the permutation, prime
 # sections by pg.incident, projections by searching pg.line_through.
@@ -587,9 +615,10 @@ def _line_projection(base, target, pts):
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
 def test_orbit_and_exotic_reports_match_per_point_routines(model, pre):
     base = veronese_map(pre)
+    support = sorted(set().union(*cosets.conic_layers(model, base).plane_points.values()))
     group = sorted(
         cosets.group_closure(
-            [cosets.extended_elation(model, base, k) for k in cosets.LABEL_ORDER]
+            [cosets.extended_elation(model, base, k) for k in cosets.LABEL_ORDER], support
         )
     )
     report = cosets.verify_orbit_equivalence(model, base)
