@@ -21,10 +21,12 @@ closed form, in lexicographic order of the domain, also orders the cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Sequence
 
 from . import gf3, pg
@@ -164,28 +166,27 @@ def is_cap(points: Iterable[Point]) -> bool:
 def verify_witt(design: Design) -> WittReport:
     """Check the 5-(12,6,1) axioms by full enumeration of the 792 5-subsets.
 
-    Cover counts are read from a count of the blocks' own 4- and 5-subsets.
-    Also reports the 4-subset covering number, which must be constant.  The
-    first violating 5-subset (with its cover count) is recorded on failure.
+    Cover counts are read from a count of the blocks' own 4- and 5-subsets,
+    as int masks: one bit per point of design.points, then one per block
+    point outside them.  Also reports the 4-subset covering number, which
+    must be constant.  The first violating 5-subset (with its cover count)
+    is recorded on failure.
     """
     pts = design.points
-    cover = Counter(
-        frozenset(sub)
-        for b in design.blocks
-        for k in (4, 5)
-        for sub in itertools.combinations(b.points, k)
-    )
-    violation = next(
-        (
-            (sub, cover[frozenset(sub)])
-            for sub in itertools.combinations(pts, 5)
-            if cover[frozenset(sub)] != 1
-        ),
-        None,
-    )
+    every = dict.fromkeys(itertools.chain(pts, *(b.points for b in design.blocks)))
+    bit = {p: 1 << i for i, p in enumerate(every)}
+    rows = [tuple(map(bit.__getitem__, b.points)) for b in design.blocks]
+    cover = Counter(itertools.chain.from_iterable(
+        map(sum, itertools.combinations(r, k)) for r in rows for k in (4, 5)
+    ))
+    masks = [bit[p] for p in pts]
+    # A subset holding a repeated point must not add its bit twice.
+    join = sum if len(set(pts)) == len(pts) else functools.partial(functools.reduce, or_)
+    fives = zip(itertools.combinations(pts, 5), map(join, itertools.combinations(masks, 5)))
+    violation = next(((sub, cover[m]) for sub, m in fives if cover[m] != 1), None)
     quad_counts = set()
     if violation is None:
-        quad_counts = {cover[frozenset(sub)] for sub in itertools.combinations(pts, 4)}
+        quad_counts = set(map(cover.__getitem__, map(join, itertools.combinations(masks, 4))))
     quad_constant = len(quad_counts) == 1
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
@@ -341,4 +342,5 @@ def _stabiliser_chain(
                         orbit.add(g[x])
                         frontier.append(g[x])
         orbit_lengths[depth] = len(orbit)
+    del places  # the closure refers to itself: free it without the collector
     return tuple(base), tuple(orbit_lengths), tuple(gens)

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from . import gf3, pg
 from .gf3 import Matrix, Vector
 from .pg import Point
 from .cap import CapSet, cap_domain, cap_map
+
+_MOD3 = bytes(i % 3 for i in range(256))  # a byte-lane translation table
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,19 @@ def enumerate_codewords(code: TernaryCode) -> tuple[Vector, ...]:
     """All 3^6 = 729 row-space vectors, in lexicographic order of the
     coefficient tuples (the first row's coefficient varies slowest).
 
-    Built by accumulation: each generator row r replaces every word w so
-    far by w, w + r, w + 2r, which appends r's coefficient as the fastest
-    varying digit.
+    The words so far are one buffer, a byte per coordinate; each row r,
+    taken last-first, makes it words + (words + r) + (words + 2r).  Lanes
+    stay below 7, so buffers add as big ints without carries, then reduce
+    mod 3 by a byte table.
     """
-    words: list[Vector] = [(0,) * len(code.generator[0])]
-    for r in code.generator:
-        r2 = gf3.vec_scale(2, r)
-        words = [v for w in words for v in (w, gf3.vec_add(w, r), gf3.vec_add(w, r2))]
-    return tuple(words)
+    n = len(code.generator[0])
+    words = bytes(n)
+    for row in reversed(code.generator):
+        size = len(words)
+        w = int.from_bytes(words, "big")
+        r = int.from_bytes(bytes(x % 3 for x in row) * (size // n), "big")
+        words += b"".join((w + k * r).to_bytes(size, "big").translate(_MOD3) for k in (1, 2))
+    return tuple(zip(*[iter(words)] * n))
 
 
 def weight_distribution(code: TernaryCode) -> dict[int, int]:
@@ -87,9 +94,8 @@ def is_self_dual(code: TernaryCode) -> bool:
 
 def weight6_supports(code: TernaryCode) -> set[frozenset[Point]]:
     """Supports of the weight-6 codewords, as sets of cap points."""
-    out = set()
-    for w in enumerate_codewords(code):
-        support = [i for i, x in enumerate(w) if x]
-        if len(support) == 6:
-            out.add(frozenset(code.column_points[i] for i in support))
-    return out
+    return {
+        frozenset(compress(code.column_points, w))
+        for w in enumerate_codewords(code)
+        if len(w) - w.count(0) == 6
+    }

@@ -118,6 +118,7 @@ class ConicPartition:
     external: frozenset[Point]
 
 
+@lru_cache(maxsize=None)
 def plane_lines(plane: Flat) -> tuple[frozenset[Point], ...]:
     """The 13 lines of a plane, as 4-point sets.
 

@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -156,6 +159,72 @@ def test_verify_witt_fails_with_witness_on_perturbed_set(model, cap):
     assert report.quad_cover_constant is False
 
 
+def _reference_verify_witt(design):
+    """verify_witt with frozenset cover keys: the reference for the masks."""
+    pts = design.points
+    cover = Counter(
+        frozenset(sub)
+        for b in design.blocks
+        for k in (4, 5)
+        for sub in itertools.combinations(b.points, k)
+    )
+    violation = next(
+        (
+            (sub, cover[frozenset(sub)])
+            for sub in itertools.combinations(pts, 5)
+            if cover[frozenset(sub)] != 1
+        ),
+        None,
+    )
+    quad_counts = set()
+    if violation is None:
+        quad_counts = {cover[frozenset(sub)] for sub in itertools.combinations(pts, 4)}
+    quad_constant = len(quad_counts) == 1
+    sizes_ok = all(len(b.points) == 6 for b in design.blocks)
+    return capmod.WittReport(
+        ok=len(pts) == 12 and sizes_ok and violation is None,
+        block_count=len(design.blocks),
+        five_cover_unique=violation is None,
+        first_violation=violation,
+        quad_cover_value=quad_counts.pop() if quad_constant else None,
+        quad_cover_constant=quad_constant,
+    )
+
+
+def _witt_reference_cases(model):
+    """The Witt design at every base, seeded random 12-sets, and hand-made
+    faults: a block dropped or repeated, a block point outside the design's
+    points, a repeated design point, a block of 7 points."""
+    designs = [_witt_design(model, pre) for pre in pg.enumerate_points(2)]
+    rng = random.Random(11)
+    designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(30)]
+    witt = designs[0]
+    designs.append(dataclasses.replace(witt, blocks=witt.blocks[1:]))
+    designs.append(dataclasses.replace(witt, blocks=witt.blocks + witt.blocks[:1]))
+    outsider = next(p for p in pg.enumerate_points(5) if p not in witt.points)
+    first, rest = witt.blocks[0], witt.blocks[1:]
+    designs.append(dataclasses.replace(witt, blocks=(
+        capmod.Block(points=first.points - {min(first.points)} | {outsider}, prime=first.prime),
+        *rest,
+    )))
+    designs.append(dataclasses.replace(witt, blocks=(
+        capmod.Block(points=first.points | {outsider}, prime=first.prime), *rest
+    )))
+    designs.append(dataclasses.replace(witt, points=witt.points[:11] + witt.points[:1]))
+    spare = min(set(witt.points) - first.points)
+    designs.append(dataclasses.replace(witt, blocks=(
+        capmod.Block(points=first.points | {spare}, prime=first.prime), *rest
+    )))
+    return designs
+
+
+def test_verify_witt_matches_the_frozenset_reference(model):
+    cases = _witt_reference_cases(model)
+    assert sum(_reference_verify_witt(d).ok for d in cases) == 13
+    for d in cases:
+        assert capmod.verify_witt(d) == _reference_verify_witt(d)
+
+
 def test_dual_cap_size_and_literal_primes(dual_cap):
     assert len(dual_cap.primes) == 12
     for raw in EXPECTED_MISSING_PRIME_LITERALS:
@@ -264,6 +333,20 @@ def test_automorphism_order_on_blockless_set():
     # no blocks means no constraints: the full symmetric group
     design = capmod.Design(points=tuple(pg.enumerate_points(5)[:4]), blocks=())
     assert capmod.automorphism_order(design) == math.factorial(4)
+
+
+def test_automorphism_order_leaves_no_garbage_cycles(model):
+    # the search must not need the cyclic collector to free its state
+    rigid = capmod.blocks(random.Random(3).sample(pg.enumerate_points(5), 12))
+    designs = (_witt_design(model, (1, 0, 0)), rigid)
+    gc.collect()
+    gc.disable()
+    try:
+        orders = [capmod.automorphism_order(d) for d in designs]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert orders == [95040, 1]
 
 
 def _brute_force_order(design):

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import itertools
 import json
 
@@ -142,6 +143,25 @@ def test_value_error_becomes_a_failure_record(capsys, monkeypatch):
     code, out = run(capsys, "classify", "--quadruple", "2,0,0,0", "--format", "json")
     assert code == 1
     assert json.loads(out) == {"result": "FAIL", "error": "no class for 2,0,0,0"}
+
+
+def test_witt_batteries_leave_no_garbage_cycles():
+    # the verify-design and golay --verify batteries free all they build
+    # without the cyclic collector; the argument parser is built outside
+    parser = cli.build_parser()
+    runs = [parser.parse_args(argv) for argv in (["verify-design", "--preimage", "0,1,2"],
+                                                 ["golay", "--verify"])]
+    model = cli.build_model()
+    for args in runs:
+        args.handler(model, args)  # warm the process-wide caches
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [args.handler(model, args)[0] for args in runs]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert codes == [0, 0]
 
 
 def test_classify_exotic(capsys):

@@ -98,6 +98,29 @@ def test_codeword_order_is_coefficient_lex_order(code, rank5):
     assert len(set(words)) == (243 if rank5 else 729)
 
 
+def _random_rows(seed, k, n, entries):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(k))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((2,) * 12,) * 6,  # the largest lane sums
+        _random_rows(1, 3, 5, (0, 1, 2)),
+        ((2,),),
+        _random_rows(2, 4, 12, (-4, -1, 0, 1, 2, 3, 5, 7)),  # unreduced entries
+    ],
+    ids=["all_2", "3x5", "1x1", "unreduced"],
+)
+def test_lane_encoding_matches_vec_mat(code, rows):
+    expected = tuple(
+        gf3.vec_mat(a, rows) for a in itertools.product((0, 1, 2), repeat=len(rows))
+    )
+    lanes = golay.enumerate_codewords(dataclasses.replace(code, generator=rows))
+    assert lanes == expected  # element by element
+
+
 def test_weight_distribution_by_independent_enumeration(code):
     # oracle: recompute every codeword directly from coefficient tuples
     counts = {}

@@ -99,6 +99,18 @@ def test_conic_plane_partition_counts(model):
         assert len(part.external) == 6
 
 
+def test_plane_lines_are_shared_and_immutable(model):
+    # the lines of each conic plane are derived once, however many caps are built
+    plane_lines.cache_clear()
+    first = [capmod.build_cap(model, p).points for p in model.points]
+    second = [capmod.build_cap(model, p).points for p in model.points]
+    assert first == second
+    assert plane_lines.cache_info().misses == 13
+    lines = plane_lines(model.conics[0].plane)
+    assert lines is plane_lines(model.conics[0].plane)
+    assert isinstance(lines, tuple) and all(isinstance(line, frozenset) for line in lines)
+
+
 def test_partition_by_brute_force_over_plane_lines(model):
     # independent tally: for every plane point count tangents and bisecants
     for c in model.conics:
