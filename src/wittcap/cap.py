@@ -21,12 +21,10 @@ closed form, in lexicographic order of the domain, also orders the cap.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import or_
 from typing import Iterable, Sequence
 
 from . import gf3, pg
@@ -180,13 +178,15 @@ def verify_witt(design: Design) -> WittReport:
         map(sum, itertools.combinations(r, k)) for r in rows for k in (4, 5)
     ))
     masks = [bit[p] for p in pts]
-    # A subset holding a repeated point must not add its bit twice.
-    join = sum if len(set(pts)) == len(pts) else functools.partial(functools.reduce, or_)
-    fives = zip(itertools.combinations(pts, 5), map(join, itertools.combinations(masks, 5)))
+    def union(a, b, c, d, e=0):  # by OR: a repeated design point adds its bit once
+        return a | b | c | d | e
+    fives = zip(itertools.combinations(pts, 5),
+                itertools.starmap(union, itertools.combinations(masks, 5)))
     violation = next(((sub, cover[m]) for sub, m in fives if cover[m] != 1), None)
     quad_counts = set()
     if violation is None:
-        quad_counts = set(map(cover.__getitem__, map(join, itertools.combinations(masks, 4))))
+        fours = itertools.starmap(union, itertools.combinations(masks, 4))
+        quad_counts = set(map(cover.__getitem__, fours))
     quad_constant = len(quad_counts) == 1
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
