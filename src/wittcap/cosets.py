@@ -28,7 +28,6 @@ minus the transversal.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import MappingProxyType
@@ -266,8 +265,10 @@ def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
 
 
 def hyperplane_profile(s: TwelveSet) -> dict[int, int]:
-    """Histogram of |prime and set| over all 364 primes of PG(5,3)."""
-    return dict(sorted(Counter(pg.section_sizes(5, s.points)).items()))
+    """Histogram of |prime and set| over all 364 primes of PG(5,3), in
+    ascending order of the section size."""
+    sizes = pg.section_sizes(5, s.points)
+    return {k: n for k in range(len(s.points) + 1) if (n := sizes.count(k))}
 
 
 @lru_cache(maxsize=None)
@@ -304,31 +305,37 @@ def group_closure(
     """The group the collineations generate, each element (canonical matrix)
     with its action on the points.  Only the generators are applied; a
     product g h (g first) acts as p -> h(g(p)).  Every generator must map the
-    points into themselves; one that does not raises with the point."""
+    points into themselves; one that does not raises with the point.  A
+    product is multiplied out only when its action, as point indices, is new;
+    the points must determine collineations, or that would not be exact."""
+    points = tuple(dict.fromkeys(points))
+    index = {p: i for i, p in enumerate(points)}
     gens = []
     for g in generators:
         g = pg.canonical_collineation(g)
-        act = {p: pg.apply_collineation(g, p) for p in points}
-        off = next((p for p in act if act[p] not in act), None)
+        images = [pg.apply_collineation(g, p) for p in points]
+        off = next((i for i, q in enumerate(images) if q not in index), None)
         if off is not None:
             raise ValueError(
-                f"generator {g} sends {pg.format_point(off)} to "
-                f"{pg.format_point(act[off])}, off the point set"
+                f"generator {g} sends {pg.format_point(points[off])} to "
+                f"{pg.format_point(images[off])}, off the point set"
             )
-        gens.append((g, act))
-    identity = gf3.identity(len(gens[0][0]))
-    found = {identity: {p: p for p in points}, **dict(gens)}
+        gens.append((g, tuple(map(index.__getitem__, images))))
+    if not pg.determines_collineations(points):
+        raise ValueError("a collineation other than the identity fixes every point")
+    found = {tuple(range(len(points))): gf3.identity(len(gens[0][0])),
+             **{act: g for g, act in gens}}
     frontier = list(found.items())
     while frontier:
         fresh = []
-        for g, act_g in frontier:
+        for act_g, g in frontier:
             for h, act_h in gens:
-                gh = pg.compose(g, h)
-                if gh not in found:
-                    found[gh] = {p: act_h[q] for p, q in act_g.items()}
-                    fresh.append((gh, found[gh]))
+                act = tuple(map(act_h.__getitem__, act_g))
+                if act not in found:
+                    found[act] = pg.compose(g, h)
+                    fresh.append((act, found[act]))
         frontier = fresh
-    return found
+    return {g: dict(zip(points, map(points.__getitem__, act))) for act, g in found.items()}
 
 
 def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
@@ -420,6 +427,7 @@ def _projection_frame(
     return MappingProxyType(lines), transversal, off_transversal
 
 
+@lru_cache(maxsize=None)
 def _project(base: Point, target: Hyperplane, x: Point) -> Point:
     """Where the line from the base through x != base meets the target prime:
     the combination (b.h) x - (x.h) b of the two points, which pairs to zero

@@ -83,14 +83,14 @@ def hyperplane_point_masks(n: int) -> Mapping[Hyperplane, int]:
     return MappingProxyType(rows)
 
 
-def section_sizes(n: int, pts: Iterable[Point]) -> tuple[int, ...]:
-    """|h and pts| for every hyperplane, in enumeration order.  The points
-    must be canonical; a repeated point counts once.  Needs n <= 5: a byte
-    must hold a whole hyperplane's (3^n - 1)/2 points without carrying."""
+def section_sizes(n: int, pts: Iterable[Point]) -> bytes:
+    """|h and pts| for every hyperplane, in enumeration order, one byte each.
+    The points must be canonical; a repeated point counts once.  Needs n <= 5:
+    a byte must hold a whole hyperplane's (3^n - 1)/2 points without carrying."""
     if (3**n - 1) // 2 > 255:
         raise ValueError(f"PG({n},3) hyperplanes hold more than 255 points")
     rows = hyperplane_point_masks(n)
-    return tuple(sum(rows[p] for p in set(pts)).to_bytes(len(rows), "little"))
+    return sum(rows[p] for p in set(pts)).to_bytes(len(rows), "little")
 
 
 def hyperplanes_meeting(n: int, pts: Iterable[Point], k: int) -> tuple[Hyperplane, ...]:
@@ -169,11 +169,31 @@ def meet(f: Flat, g: Flat) -> Flat:
 
 
 def canonical_collineation(m: Matrix) -> Collineation:
-    flat = [x for row in m for x in row]
-    lead = next((x for x in flat if x), None)
+    lead = next((x for row in m for x in row if x), None)
     if lead is None:
         raise ValueError("zero matrix is not a collineation")
     return m if lead == 1 else tuple(gf3.vec_scale(2, row) for row in m)
+
+
+@lru_cache(maxsize=None)
+def determines_collineations(points: tuple[Point, ...]) -> bool:
+    """Whether the identity is the only collineation fixing every point.  One
+    fixing a basis taken from the points is diagonal over it, and a point
+    with nonzero coordinates i and j over that basis forces entries i and j
+    equal; so the answer is whether the supports of those coordinates link
+    every basis index into one component."""
+    basis: tuple[Point, ...] = ()
+    for p in points:
+        if gf3.rank(basis + (p,)) > len(basis):
+            basis += (p,)
+    if not points or len(basis) < len(points[0]):
+        return False
+    inv = gf3.mat_inv(basis)
+    supports = [{i for i, c in enumerate(gf3.vec_mat(p, inv)) if c} for p in points]
+    linked = {0}
+    for _ in basis:   # each pass links at least one more index, or none ever
+        linked = linked.union(*(s for s in supports if s & linked))
+    return len(linked) == len(basis)
 
 
 def collineation(rows: Iterable[Iterable[int]]) -> Collineation:

@@ -262,7 +262,7 @@ def test_full_prime_scan_has_exactly_12_misses(cap):
     assert sizes.count(0) == 12
     assert sizes.count(6) == 132
     assert sorted(set(sizes)) == [0, 3, 6]
-    assert tuple(sizes) == pg.section_sizes(5, cap.points)
+    assert bytes(sizes) == pg.section_sizes(5, cap.points)
 
 
 def test_osculating_primes_through_base_cut_three_cap_points(model, base, cap):

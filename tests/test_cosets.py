@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -294,6 +295,29 @@ def test_profile_identities(model, base):
         assert sum(size * count for size, count in profile.items()) == 12 * 121
 
 
+def _counted_profile(points):
+    return dict(sorted(Counter(tuple(pg.section_sizes(5, points))).items()))
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_profile_of_every_layer_set_matches_a_counter_histogram(model, pre):
+    base = veronese_map(pre)
+    for q in cosets.all_quadruples():
+        s = cosets.twelve_set(model, base, q)
+        want = _counted_profile(s.points)
+        assert list(cosets.hyperplane_profile(s).items()) == list(want.items())
+
+
+def test_profile_of_random_sets_matches_a_counter_histogram():
+    rng = random.Random(15)
+    for _ in range(30):
+        s = cosets.TwelveSet(
+            points=frozenset(rng.sample(pg.enumerate_points(5), 12)), quadruple=(0, 0, 0, 0)
+        )
+        want = _counted_profile(s.points)
+        assert list(cosets.hyperplane_profile(s).items()) == list(want.items())
+
+
 def test_cap_profile_pins_todd_and_block_counts(model, base):
     profile = cosets.hyperplane_profile(cosets.twelve_set(model, base, (1, 1, 1, 1)))
     assert profile[0] == 12
@@ -555,18 +579,76 @@ def _coordinate_permutation(perm):
     return tuple(tuple(int(j == perm[i]) for j in range(6)) for i in range(6))
 
 
+def _reference_closure(generators, points):
+    """The closure keyed by matrix: every product multiplied out, each new
+    element's action composed point by point."""
+    gens = []
+    for g in generators:
+        g = pg.canonical_collineation(g)
+        gens.append((g, {p: pg.apply_collineation(g, p) for p in points}))
+    found = {gf3.identity(len(gens[0][0])): {p: p for p in points}, **dict(gens)}
+    frontier = list(found.items())
+    while frontier:
+        fresh = []
+        for g, act_g in frontier:
+            for h, act_h in gens:
+                gh = pg.compose(g, h)
+                if gh not in found:
+                    found[gh] = {p: act_h[q] for p, q in act_g.items()}
+                    fresh.append((gh, found[gh]))
+        frontier = fresh
+    return found
+
+
+def _conic_plane_support(model, base):
+    return sorted(set().union(*cosets.conic_layers(model, base).plane_points.values()))
+
+
+# a transposition and a 3-cycle of the first three coordinates generate S3,
+# where g h != h g, so a reversed composition would carry the wrong action
+SWAP = _coordinate_permutation((1, 0, 2, 3, 4, 5))
+CYCLE = _coordinate_permutation((1, 2, 0, 3, 4, 5))
+# the six coordinate points and the all-ones point: a frame, invariant under
+# every coordinate permutation
+FRAME = tuple(gf3.identity(6)) + ((1,) * 6,)
+
+
 def test_group_closure_carries_the_action_of_a_non_abelian_group():
-    # a transposition and a 3-cycle of the first three coordinates generate
-    # S3, where g h != h g, so a reversed composition would carry the wrong
-    # action; the point set, every point of PG(5,3), is invariant
-    swap = _coordinate_permutation((1, 0, 2, 3, 4, 5))
-    cycle = _coordinate_permutation((1, 2, 0, 3, 4, 5))
-    assert pg.compose(swap, cycle) != pg.compose(cycle, swap)
+    # the point set, every point of PG(5,3), is invariant
+    assert pg.compose(SWAP, CYCLE) != pg.compose(CYCLE, SWAP)
     points = pg.enumerate_points(5)
-    closure = cosets.group_closure([swap, cycle], points)
+    closure = cosets.group_closure([SWAP, CYCLE], points)
     assert len(closure) == 6
     for g, act in closure.items():
         assert act == {p: pg.apply_collineation(g, p) for p in points}
+    assert list(closure.items()) == list(_reference_closure([SWAP, CYCLE], points).items())
+
+
+def test_group_closure_of_a_non_abelian_group_on_a_frame_matches_the_reference():
+    closure = cosets.group_closure([SWAP, CYCLE], FRAME)
+    assert len(closure) == 6
+    assert list(closure.items()) == list(_reference_closure([SWAP, CYCLE], FRAME).items())
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_group_closure_at_every_base_matches_the_reference(model, pre):
+    base = veronese_map(pre)
+    support = _conic_plane_support(model, base)
+    assert pg.determines_collineations(tuple(support))
+    mus = [cosets.extended_elation(model, base, k) for k in cosets.LABEL_ORDER]
+    closure = cosets.group_closure(mus, support)
+    assert len(closure) == 27
+    assert list(closure.items()) == list(_reference_closure(mus, support).items())
+
+
+def test_group_closure_refuses_points_that_do_not_determine_collineations():
+    # a diagonal matrix fixes every coordinate point, so its action there is
+    # the identity's, and keying the group by actions would lose it
+    diagonal = pg.collineation(
+        tuple(tuple(int(i == j) * (2 if i == 1 else 1) for j in range(6)) for i in range(6))
+    )
+    with pytest.raises(ValueError, match="other than the identity fixes every point"):
+        cosets.group_closure([diagonal], tuple(gf3.identity(6)))
 
 
 def test_group_closure_names_a_generator_that_leaves_the_point_set():

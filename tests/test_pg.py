@@ -82,7 +82,7 @@ def test_section_sizes_match_brute_force_incidence(repeats):
         sum(1 for p in set(pts) if pg.incident(p, h))
         for h in pg.enumerate_hyperplanes(5)
     )
-    assert pg.section_sizes(5, pts) == sizes
+    assert pg.section_sizes(5, pts) == bytes(sizes)
     for k in set(sizes):
         assert pg.hyperplanes_meeting(5, pts, k) == tuple(
             h for h, size in zip(pg.enumerate_hyperplanes(5), sizes) if size == k
@@ -102,7 +102,7 @@ def test_section_sizes_of_the_whole_space(n):
         sum(1 for p in pts if pg.incident(p, h)) for h in pg.enumerate_hyperplanes(n)
     )
     assert sizes == (len(pg.enumerate_points(n - 1)),) * len(pts)
-    assert pg.section_sizes(n, reversed(pts)) == sizes
+    assert pg.section_sizes(n, reversed(pts)) == bytes(sizes)
 
 
 def test_section_sizes_refuses_hyperplanes_wider_than_a_byte_lane():
@@ -300,3 +300,46 @@ def test_compose_and_inverse():
         found += 1
         c = pg.canonical_collineation(m)
         assert pg.compose(c, pg.canonical_collineation(gf3.mat_inv(c))) == eye
+
+
+def _pgl33():
+    """Every canonical invertible 3x3 matrix over GF(3): the 5,616 elements
+    of PGL(3,3)."""
+    return [
+        m
+        for entries in itertools.product((0, 1, 2), repeat=9)
+        if gf3.det3(m := (entries[:3], entries[3:6], entries[6:])) != 0
+        and pg.canonical_collineation(m) == m
+    ]
+
+
+def test_determines_collineations_matches_brute_force_over_pgl33():
+    group = _pgl33()
+    assert len(group) == 5616
+    points = pg.enumerate_points(2)
+    eye = gf3.identity(3)
+    # the fixed points of each non-identity collineation, as a point mask
+    fixed = {
+        sum(1 << i for i, p in enumerate(points) if pg.apply_collineation(g, p) == p)
+        for g in group
+        if g != eye
+    }
+    rng = random.Random(15)
+    answers = set()
+    for k in range(1, len(points) + 1):
+        for _ in range(40):
+            subset = tuple(rng.sample(points, k))
+            mask = sum(1 << points.index(p) for p in subset)
+            only_identity = not any(mask & f == mask for f in fixed)
+            assert pg.determines_collineations(subset) == only_identity, subset
+            answers.add(only_identity)
+    assert answers == {True, False}
+
+
+def test_coordinate_points_do_not_determine_collineations():
+    # every diagonal matrix fixes the six coordinate points; adding the
+    # all-ones point completes a frame, which only the identity fixes
+    coordinate_points = tuple(gf3.identity(6))
+    assert not pg.determines_collineations(coordinate_points)
+    assert pg.determines_collineations(coordinate_points + ((1,) * 6,))
+    assert not pg.determines_collineations(())

@@ -29,3 +29,30 @@ def test_only_pg_reads_the_incidence_masks():
         or (isinstance(node, ast.alias) and node.name == "hyperplane_point_masks")
     ]
     assert not offenders, "hyperplane_point_masks named in " + ", ".join(offenders)
+
+
+def test_verification_is_never_cached():
+    # caches hold geometry per base, never a verdict per set: a cached check
+    # would pass a second time without looking
+    checks = {"hyperplane_profile", "classify", "group_closure", "verify_orbit_equivalence",
+              "project_from_base", "analyze_exotic", "verify_witt", "automorphism_order"}
+    src = Path(wittcap.__file__).parent
+
+    def cache_name(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return getattr(decorator, "id", getattr(decorator, "attr", None))
+
+    defined = [
+        (path.name, node)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in checks
+    ]
+    assert {node.name for _, node in defined} == checks
+    offenders = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in defined
+        if any(cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    ]
+    assert not offenders, "cached verification in " + ", ".join(offenders)
