@@ -35,7 +35,9 @@ def vec_scale(c: int, u: Sequence[int]) -> Vector:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True)) % 3
+    if len(u) != len(v):
+        raise ValueError("vector lengths differ")
+    return sum(map(mul, u, v)) % 3
 
 
 def identity(n: int) -> Matrix:

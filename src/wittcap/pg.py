@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -73,13 +74,10 @@ def hyperplane_point_masks(n: int) -> Mapping[Hyperplane, int]:
     are enumerated like points, so the entry of h, read with h taken as a
     point, is that point's lane over the hyperplanes."""
     points = enumerate_points(n)
-    rows = {}
-    for h in enumerate_hyperplanes(n):
-        row = bytearray(len(points))
-        for i, p in enumerate(points):
-            if gf3.dot(p, h) == 0:
-                row[i] = 1
-        rows[h] = int.from_bytes(row, "little")
+    rows = {
+        h: int.from_bytes(bytes(gf3.dot(p, h) == 0 for p in points), "little")
+        for h in enumerate_hyperplanes(n)
+    }
     return MappingProxyType(rows)
 
 
@@ -142,15 +140,11 @@ def flat_points(f: Flat) -> tuple[Point, ...]:
     i-th point combines the rref rows with coefficients enumerate_points(k-1)[i],
     so zip(flat_points(f), enumerate_points(k-1)) pairs points with their
     coordinates in the flat."""
-    k = len(f)
-    out = []
-    for coeff in enumerate_points(k - 1):
-        v = [0] * len(f[0])
-        for c, row in zip(coeff, f):
-            for j in range(len(v)):
-                v[j] = (v[j] + c * row[j]) % 3
-        out.append(canonical_point(v))
-    return tuple(out)
+    cols = tuple(zip(*f))
+    return tuple(
+        canonical_point([sum(map(mul, coeff, col)) for col in cols])
+        for coeff in enumerate_points(len(f) - 1)
+    )
 
 
 def dual_basis(f: Flat) -> Matrix:

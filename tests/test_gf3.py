@@ -185,6 +185,15 @@ def test_products_match_triple_loop_reference():
         assert gf3.vec_mat(x, m) == _mat_mul_reference((x,), m)[0]
 
 
+def test_dot_matches_triple_loop_reference():
+    # a dot product is the 1 x n by n x 1 matrix product
+    rng = random.Random(13)
+    for n in range(1, 13):
+        for _ in range(20):
+            u, v = (tuple(rng.randrange(3) for _ in range(n)) for _ in range(2))
+            assert gf3.dot(u, v) == _mat_mul_reference((u,), tuple((b,) for b in v))[0][0]
+
+
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_products_reject_mismatched_inner_dimension(delta):
     rng = random.Random(12)
@@ -193,3 +202,5 @@ def test_products_reject_mismatched_inner_dimension(delta):
         gf3.mat_mul(a, b)
     with pytest.raises(ValueError):
         gf3.vec_mat(a[0], b)
+    with pytest.raises(ValueError):
+        gf3.dot(a[0], gf3.transpose(b)[0])

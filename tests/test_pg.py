@@ -69,7 +69,7 @@ def test_incidence_table_matches_brute_force_dot_products(n):
     assert tuple(table) == pg.enumerate_hyperplanes(n)
     for h, row in table.items():
         assert row.to_bytes(len(pts), "little") == bytes(
-            int(gf3.dot(p, h) == 0) for p in pts
+            int(sum(a * b for a, b in zip(p, h)) % 3 == 0) for p in pts
         )
 
 
@@ -206,6 +206,45 @@ def test_flat_points_and_coordinates_round_trip():
     for p, c in zip(pts, pg.enumerate_points(2)):
         assert pg.span(list(f) + [p]) == f
         assert p == pg.canonical_point(gf3.vec_mat(c, f))
+
+
+def _normalised(v):
+    lead = next(x for x in v if x)
+    return tuple((lead * x) % 3 for x in v)   # 1 and 2 are their own inverses
+
+
+def _flat_points_reference(f):
+    """Coefficient combinations of the rref rows, in enumeration order."""
+    out = []
+    for coeff in pg.enumerate_points(len(f) - 1):
+        v = [0] * len(f[0])
+        for c, row in zip(coeff, f):
+            for j in range(len(v)):
+                v[j] = (v[j] + c * row[j]) % 3
+        out.append(_normalised(v))
+    return tuple(out)
+
+
+def test_flat_points_match_coefficient_combination_reference():
+    rng = random.Random(9)
+    pts = pg.enumerate_points(5)
+    flats = [pg.flat_from_dual([h]) for h in pg.enumerate_hyperplanes(2)]
+    flats.append(gf3.identity(3))   # the lines and the plane of PG(2,3)
+    for k in range(1, 7):
+        found = 0
+        while found < 8:
+            f = pg.span(rng.sample(pts, k))
+            if len(f) == k:
+                found += 1
+                flats.append(f)
+    for f in flats:
+        got = pg.flat_points(f)
+        assert got == _flat_points_reference(f)
+        # rref rows have unit pivots, so a point's entries in the pivot
+        # columns are its coefficients, up to the scalar both normalise away
+        pivots = [row.index(1) for row in f]
+        for p, coeff in zip(got, pg.enumerate_points(len(f) - 1), strict=True):
+            assert _normalised([p[j] for j in pivots]) == coeff
 
 
 def test_apply_identity_fixes_every_point():
