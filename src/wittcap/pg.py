@@ -141,10 +141,12 @@ def flat_points(f: Flat) -> tuple[Point, ...]:
     so zip(flat_points(f), enumerate_points(k-1)) pairs points with their
     coordinates in the flat."""
     cols = tuple(zip(*f))
-    return tuple(
+    # from a list, not a generator: tuple() grows a generator's tuple by
+    # realloc, and each freed result would then park on the tuple free list
+    return tuple([
         canonical_point([sum(map(mul, coeff, col)) for col in cols])
         for coeff in enumerate_points(len(f) - 1)
-    )
+    ])
 
 
 def dual_basis(f: Flat) -> Matrix:
