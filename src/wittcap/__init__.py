@@ -6,73 +6,6 @@ emits the extended ternary Golay code, and classifies the 81 layer
 replacement twelve-sets.
 """
 
-from .cap import (
-    CapSet,
-    Design,
-    DualCap,
-    automorphism_order,
-    blocks,
-    build_cap,
-    build_cap_from_formula,
-    build_dual_cap,
-    cap_map,
-    disjointness_check,
-    internal_partner,
-    verify_witt,
-)
-from .cosets import (
-    analyze_exotic,
-    classify,
-    extended_elation,
-    hyperplane_profile,
-    layer_elation,
-    project_from_base,
-    twelve_set,
-    verify_orbit_equivalence,
-)
-from .golay import TernaryCode, generator_matrix, is_self_dual, weight_distribution
-from .veronese import (
-    VeroneseModel,
-    build_model,
-    chordal_cubic_contains,
-    classify_conic_plane,
-    dual_veronese_map,
-    lift_collineation,
-    veronese_map,
-)
+from . import cap, cosets, golay, gf3, pg, veronese
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapSet",
-    "Design",
-    "DualCap",
-    "TernaryCode",
-    "VeroneseModel",
-    "analyze_exotic",
-    "automorphism_order",
-    "blocks",
-    "build_cap",
-    "build_cap_from_formula",
-    "build_dual_cap",
-    "build_model",
-    "cap_map",
-    "chordal_cubic_contains",
-    "classify",
-    "classify_conic_plane",
-    "disjointness_check",
-    "dual_veronese_map",
-    "extended_elation",
-    "generator_matrix",
-    "hyperplane_profile",
-    "internal_partner",
-    "is_self_dual",
-    "layer_elation",
-    "lift_collineation",
-    "project_from_base",
-    "twelve_set",
-    "verify_orbit_equivalence",
-    "verify_witt",
-    "veronese_map",
-    "weight_distribution",
-]

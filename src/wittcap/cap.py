@@ -31,8 +31,7 @@ from . import gf3, pg
 from .pg import Hyperplane, Point
 from .veronese import MONOMIALS, VeroneseModel, classify_conic_plane, veronese_map
 
-DEFAULT_BASE_PREIMAGE: Point = (1, 0, 0)
-DEFAULT_BASE: Point = veronese_map(DEFAULT_BASE_PREIMAGE)
+DEFAULT_BASE: Point = veronese_map((1, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,8 @@ class Design:
 class WittReport:
     ok: bool
     block_count: int
-    five_cover_unique: bool
     first_violation: tuple[tuple[Point, ...], int] | None
     quad_cover_value: int | None
-    quad_cover_constant: bool
 
 
 def internal_partner(model: VeroneseModel, base: Point, y: Point) -> Point:
@@ -187,15 +184,12 @@ def verify_witt(design: Design) -> WittReport:
     if violation is None:
         fours = itertools.starmap(union, itertools.combinations(masks, 4))
         quad_counts = set(map(cover.__getitem__, fours))
-    quad_constant = len(quad_counts) == 1
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
         ok=len(pts) == 12 and sizes_ok and violation is None,
         block_count=len(design.blocks),
-        five_cover_unique=violation is None,
         first_violation=violation,
-        quad_cover_value=quad_counts.pop() if quad_constant else None,
-        quad_cover_constant=quad_constant,
+        quad_cover_value=quad_counts.pop() if len(quad_counts) == 1 else None,
     )
 
 

@@ -323,7 +323,7 @@ def group_closure(
         gens.append((g, tuple(map(index.__getitem__, images))))
     if not pg.determines_collineations(points):
         raise ValueError("a collineation other than the identity fixes every point")
-    found = {tuple(range(len(points))): gf3.identity(len(gens[0][0])),
+    found = {tuple(range(len(points))): gf3.identity(len(points[0])),
              **{act: g for g, act in gens}}
     frontier = list(found.items())
     while frontier:

@@ -119,14 +119,6 @@ def nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
-def det3(m: Matrix) -> int:
-    """Determinant of a 3x3 matrix over GF(3), by cofactor expansion."""
-    if len(m) != 3 or any(len(r) != 3 for r in m):
-        raise ValueError("det3 expects a 3x3 matrix")
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % 3
-
-
 def mat_inv(m: Matrix) -> Matrix:
     """Inverse of a square matrix: the right block of rref([m | I])."""
     n = len(m)

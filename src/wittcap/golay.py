@@ -27,7 +27,6 @@ _MOD3 = bytes(i % 3 for i in range(256))  # a byte-lane translation table
 class TernaryCode:
     generator: Matrix                      # 6x12, columns = cap point vectors
     column_points: tuple[Point, ...]       # cap points, one per column
-    column_preimages: tuple[Point, ...]    # their parameter-plane preimages
 
 
 def generator_matrix(cap: CapSet) -> TernaryCode:
@@ -36,17 +35,14 @@ def generator_matrix(cap: CapSet) -> TernaryCode:
     The closed form at the cap's base must give exactly the cap's points;
     otherwise the first point on one side only is named.
     """
-    preimages = cap_domain(cap.base_point)
-    columns = tuple(cap_map(x, cap.base_point) for x in preimages)
+    columns = tuple(cap_map(x, cap.base_point) for x in cap_domain(cap.base_point))
     stray = cap.points ^ set(columns)
     if stray:
         raise ValueError(
             f"the cap at {cap.base_point} and its closed form differ at {min(stray)}"
         )
     generator = tuple(tuple(col[r] for col in columns) for r in range(6))
-    return TernaryCode(
-        generator=generator, column_points=columns, column_preimages=preimages
-    )
+    return TernaryCode(generator=generator, column_points=columns)
 
 
 def code_rank(code: TernaryCode) -> int:

@@ -149,19 +149,9 @@ def flat_points(f: Flat) -> tuple[Point, ...]:
     ])
 
 
-def dual_basis(f: Flat) -> Matrix:
-    """Hyperplane coordinates cutting out the flat."""
-    return tuple(gf3.nullspace(f))
-
-
 def flat_from_dual(constraints: Iterable[Sequence[int]]) -> Flat:
     stacked = gf3.mat(list(constraints))
     return gf3.row_basis(gf3.mat(gf3.nullspace(stacked)))
-
-
-def meet(f: Flat, g: Flat) -> Flat:
-    """Intersection of flats, via the union of their dual constraints."""
-    return flat_from_dual(dual_basis(f) + dual_basis(g))
 
 
 def canonical_collineation(m: Matrix) -> Collineation:

@@ -182,14 +182,9 @@ def test_criterion_12_property_suite(model):
             union.extend(model.tangent_planes[p])
         ok = ok and pg.span(union) == pg.flat_from_dual([model.osculating_primes[c]])
     for p in model.points:
-        flats = [
-            pg.flat_from_dual([model.osculating_primes[c]])
-            for c in model.conics_through(p)
-        ]
-        acc = flats[0]
-        for f in flats[1:]:
-            acc = pg.meet(acc, f)
-        ok = ok and acc == model.tangent_planes[p]
+        primes = [model.osculating_primes[c] for c in model.conics_through(p)]
+        on_all = {x for x in pg.enumerate_points(5) if all(pg.incident(x, h) for h in primes)}
+        ok = ok and on_all == set(pg.flat_points(model.tangent_planes[p]))
     for c in model.conics:
         part = classify_conic_plane(c)
         ok = ok and (len(part.on_conic), len(part.internal), len(part.external)) == (

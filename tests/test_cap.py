@@ -139,7 +139,7 @@ def test_verify_witt_passes_and_reports_quad_cover(design):
     report = capmod.verify_witt(design)
     assert report.ok
     assert report.block_count == 132
-    assert report.quad_cover_constant
+    assert report.first_violation is None
     assert report.quad_cover_value == 4
 
 
@@ -147,7 +147,7 @@ def test_verify_witt_fails_with_witness_on_perturbed_set(model, cap):
     tampered = sorted(cap.points)[:11] + [model.points[0]]
     design = capmod.blocks(tampered)
     report = capmod.verify_witt(design)
-    assert not report.ok and not report.five_cover_unique
+    assert not report.ok and report.first_violation is not None
     # the witness is the first 5-subset, in combinations order, not covered once
     block_sets = [b.points for b in design.blocks]
     for five in itertools.combinations(design.points, 5):
@@ -156,7 +156,6 @@ def test_verify_witt_fails_with_witness_on_perturbed_set(model, cap):
             break
     assert report.first_violation == (five, cover)
     assert report.quad_cover_value is None
-    assert report.quad_cover_constant is False
 
 
 def _reference_verify_witt(design):
@@ -179,15 +178,12 @@ def _reference_verify_witt(design):
     quad_counts = set()
     if violation is None:
         quad_counts = {cover[frozenset(sub)] for sub in itertools.combinations(pts, 4)}
-    quad_constant = len(quad_counts) == 1
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return capmod.WittReport(
         ok=len(pts) == 12 and sizes_ok and violation is None,
         block_count=len(design.blocks),
-        five_cover_unique=violation is None,
         first_violation=violation,
-        quad_cover_value=quad_counts.pop() if quad_constant else None,
-        quad_cover_constant=quad_constant,
+        quad_cover_value=quad_counts.pop() if len(quad_counts) == 1 else None,
     )
 
 

@@ -526,10 +526,10 @@ def test_projection_rejects_a_point_projected_off_the_target(model, base, monkey
 
 def _meet_frame(model, base, target):
     """The frame by solving for it: each plane met with the target prime."""
-    target_flat = pg.flat_from_dual([target])
 
     def cut(plane):
-        return tuple(sorted(pg.flat_points(pg.meet(plane, target_flat))))
+        meet = pg.flat_from_dual(gf3.nullspace(plane) + [target])
+        return tuple(sorted(pg.flat_points(meet)))
 
     system = cosets.conic_layers(model, base)
     lines = {k: cut(system.conics[k].plane) for k in cosets.LABEL_ORDER}
@@ -639,6 +639,11 @@ def test_group_closure_at_every_base_matches_the_reference(model, pre):
     closure = cosets.group_closure(mus, support)
     assert len(closure) == 27
     assert list(closure.items()) == list(_reference_closure(mus, support).items())
+
+
+def test_group_closure_of_no_generators_is_the_trivial_group():
+    points = pg.enumerate_points(2)
+    assert cosets.group_closure([], points) == {gf3.identity(3): {p: p for p in points}}
 
 
 def test_group_closure_refuses_points_that_do_not_determine_collineations():

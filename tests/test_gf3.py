@@ -110,17 +110,6 @@ def test_nullspace_is_annihilated():
             assert all(gf3.dot(row, v) == 0 for row in m)
 
 
-def test_det3_examples():
-    assert gf3.det3(gf3.identity(3)) == 1
-    assert gf3.det3(gf3.mat([(1, 2, 0), (1, 2, 0), (0, 1, 1)])) == 0
-    assert gf3.det3(gf3.mat([(1, 0, 0), (0, 2, 0), (0, 0, 2)])) == 1
-
-
-def test_det3_shape_check():
-    with pytest.raises(ValueError):
-        gf3.det3(gf3.identity(2))
-
-
 def test_mat_inv_examples():
     assert gf3.mat_inv(gf3.identity(3)) == gf3.identity(3)
     two = gf3.mat([(2, 0, 0), (0, 2, 0), (0, 0, 2)])

@@ -171,7 +171,9 @@ def test_meet_of_two_hyperplanes_has_dimension_three():
     f = pg.flat_from_dual([(1, 0, 0, 0, 0, 0)])
     g = pg.flat_from_dual([(0, 1, 0, 0, 0, 0)])
     assert len(f) == 5
-    assert len(pg.meet(f, g)) == 4
+    common = set(pg.flat_points(f)) & set(pg.flat_points(g))
+    assert len(common) == 40  # the points of a PG(3,3)
+    assert len(pg.span(common)) == 4
 
 
 def test_span_meet_dimension_formula_on_samples():
@@ -181,9 +183,10 @@ def test_span_meet_dimension_formula_on_samples():
         a = pg.span(rng.sample(pts, 3))
         b = pg.span(rng.sample(pts, 3))
         union = pg.span(list(a) + list(b))
-        inter = pg.meet(a, b)
-        # dim(a meet b) = dim a + dim b - dim(a join b), with dim = len - 1
-        assert len(inter) == len(a) + len(b) - len(union)
+        inter = set(pg.flat_points(a)) & set(pg.flat_points(b))
+        # dim(a meet b) = dim a + dim b - dim(a join b), with dim = len - 1,
+        # and a flat of len k has (3^k - 1) / 2 points
+        assert len(inter) == (3 ** (len(a) + len(b) - len(union)) - 1) // 2
 
 
 def test_four_flats_lie_in_exactly_one_hyperplane():
@@ -195,7 +198,8 @@ def test_four_flats_lie_in_exactly_one_hyperplane():
         if len(f) != 5:
             continue
         found += 1
-        assert len(pg.dual_basis(f)) == 1
+        pts = pg.flat_points(f)
+        assert len(pg.hyperplanes_meeting(5, pts, len(pts))) == 1
 
 
 def test_flat_points_and_coordinates_round_trip():
@@ -347,8 +351,8 @@ def _pgl33():
     return [
         m
         for entries in itertools.product((0, 1, 2), repeat=9)
-        if gf3.det3(m := (entries[:3], entries[3:6], entries[6:])) != 0
-        and pg.canonical_collineation(m) == m
+        if next((x for x in entries if x), 0) == 1   # canonical: leading entry 1
+        and gf3.rank(m := (entries[:3], entries[3:6], entries[6:])) == 3
     ]
 
 

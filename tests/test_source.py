@@ -56,3 +56,31 @@ def test_verification_is_never_cached():
         if any(cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
     ]
     assert not offenders, "cached verification in " + ", ".join(offenders)
+
+
+def test_every_public_function_has_a_reader():
+    # a public function that neither the library nor the bench reads is dead
+    # code; the exempt ones are references kept for a check or a later use
+    exempt = {
+        "extended_elation": "acceptance criterion 08",
+        "is_cap": "the no-three-collinear check, not yet wired into a report",
+        "lift_collineation": "the PGL(3,3) lift, not yet wired into a report",
+        "symmetric_matrix": "the chordal-cubic reference",
+    }
+    src = Path(wittcap.__file__).parent
+    bench = src.parents[1] / "bench"
+    readers = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in readers + sorted(bench.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in read and node.name not in exempt
+    ]
+    assert not unread, "public function with no reader: " + ", ".join(unread)

@@ -56,7 +56,7 @@ def test_model_counts(model, base):
 
 def test_two_conic_planes_meet_in_one_surface_point(model):
     for a, b in itertools.combinations(model.conics, 2):
-        common = pg.meet(a.plane, b.plane)
+        common = set(pg.flat_points(a.plane)) & set(pg.flat_points(b.plane))
         assert len(common) == 1
         (point,) = common
         assert point in model.points
@@ -65,7 +65,7 @@ def test_two_conic_planes_meet_in_one_surface_point(model):
 def test_two_tangent_planes_meet_in_one_point_off_surface(model):
     planes = [model.tangent_planes[p] for p in model.points]
     for a, b in itertools.combinations(planes, 2):
-        common = pg.meet(a, b)
+        common = set(pg.flat_points(a)) & set(pg.flat_points(b))
         assert len(common) == 1
         (point,) = common
         assert point not in model.points
@@ -80,15 +80,11 @@ def test_osculating_prime_is_span_of_tangent_planes_along_conic(model):
 
 
 def test_tangent_plane_is_meet_of_osculating_primes_through_point(model):
+    # by brute force over PG(5,3), not through flat_from_dual as build_model
     for p in model.points:
-        flats = [
-            pg.flat_from_dual([model.osculating_primes[c]])
-            for c in model.conics_through(p)
-        ]
-        acc = flats[0]
-        for f in flats[1:]:
-            acc = pg.meet(acc, f)
-        assert acc == model.tangent_planes[p]
+        primes = [model.osculating_primes[c] for c in model.conics_through(p)]
+        on_all = {x for x in pg.enumerate_points(5) if all(pg.incident(x, h) for h in primes)}
+        assert on_all == set(pg.flat_points(model.tangent_planes[p]))
 
 
 def test_conic_plane_partition_counts(model):
