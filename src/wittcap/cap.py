@@ -60,7 +60,6 @@ class Design:
 @dataclass(frozen=True)
 class WittReport:
     ok: bool
-    block_count: int
     first_violation: tuple[tuple[Point, ...], int] | None
     quad_cover_value: int | None
 
@@ -187,7 +186,6 @@ def verify_witt(design: Design) -> WittReport:
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
         ok=len(pts) == 12 and sizes_ok and violation is None,
-        block_count=len(design.blocks),
         first_violation=violation,
         quad_cover_value=quad_counts.pop() if len(quad_counts) == 1 else None,
     )

@@ -87,7 +87,7 @@ def cmd_verify_design(model, args) -> tuple[int, dict, list[str]]:
         "base": fmt(args.base),
         "counts": {
             "points": len(cap.points),
-            "blocks": witt.block_count,
+            "blocks": len(design.blocks),
             "empty_primes": len(missed),
             "quad_cover": witt.quad_cover_value,
             "aut": aut,

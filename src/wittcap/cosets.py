@@ -19,6 +19,9 @@ space collineations; the group of those extensions has order 27 and its
 orbits sweep out the sum-0 and sum-1 classes.  Every elation is a space
 elation built by pg.perspectivity from one point pair; each layer elation is
 the restriction of the previous label's space elation to its conic plane.
+conic_layers builds, once per base, the one record that all of this reads:
+the labelled conics, their layers and plane points, the space and layer
+elations, the three class profiles and the default projection target.
 Exotic sets are studied by projecting from the base point: the four conic
 planes flatten to four mutually skew lines, the tangent plane to their
 unique common transversal, and the twelve points land exactly on the lines
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -56,7 +59,8 @@ CLASS_NAMES = {0: "surface", 1: "cap", 2: "exotic"}
 # The space elation fixing the prime {y22 = 0} pointwise and the base point
 # (1,0,0,0,0,0) linewise that extends the label-0 layer elation trivially and
 # the other three in their cycling direction: it adds y22 to y00.  It is the
-# paper's reference matrix; extended_elation must reproduce it at that base.
+# paper's reference matrix; the label-0 space elation of conic_layers must
+# reproduce it at that base.
 BASE_EXTENSION = pg.collineation(
     (
         (1, 0, 0, 0, 0, 0),
@@ -73,9 +77,14 @@ _PLANE_AT_INFINITY: Hyperplane = (1, 0, 0)   # line {x0 = 0} of the parameter pl
 
 @dataclass(frozen=True, eq=False)
 class LayerSystem:
+    """Everything the 81 twelve-sets of one base share; see conic_layers."""
     conics: Mapping[int, Conic]
     layers: Mapping[tuple[int, int], frozenset[Point]]
     plane_points: Mapping[int, tuple[Point, ...]]   # pg.flat_points of each conic plane
+    space_elations: Mapping[int, Collineation]      # by label
+    layer_elations: Mapping[int, Mapping[Point, Point]]   # by label, on its plane
+    profiles: Mapping[int, Mapping[int, int]]       # hyperplane profile by class
+    target: Hyperplane                              # first prime off the base
 
 
 @dataclass(frozen=True)
@@ -149,9 +158,19 @@ def labeled_conics(model: VeroneseModel, base: Point) -> dict[int, Conic]:
 
 @lru_cache(maxsize=None)
 def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
-    """For each conic through the base: layer 0 = conic minus base, layer 1 =
+    """The per-base record, built once and shared by every caller, so its
+    mappings are read-only.
+
+    For each conic through the base: layer 0 = conic minus base, layer 1 =
     internal points, layer 2 = external points off the tangent at the base.
-    The system is shared by every caller, so its mappings are read-only."""
+    The space elation of label k has centre at the base and axis the
+    osculating prime of conic k, and sends the least point x of the next
+    label's layer 0 to its internal partner.  The layer elation of label k
+    is the previous label's space elation restricted to conic k's plane,
+    where its axis meets the plane in the tangent; that it cycles layer
+    0 -> 1 -> 2 -> 0 is checked, not assumed.  The class profiles are read
+    from the sets (c, 0, 0, 0) and must be pairwise distinct.
+    """
     conics = labeled_conics(model, base)
     layers: dict[tuple[int, int], frozenset[Point]] = {}
     plane_points: dict[int, tuple[Point, ...]] = {}
@@ -161,83 +180,55 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         layers[(k, 1)] = part.internal
         layers[(k, 2)] = part.external - tangent_lines(c)[base]
         plane_points[k] = pg.flat_points(c.plane)
+    space_elations: dict[int, Collineation] = {}
+    for k in LABEL_ORDER:
+        x = min(layers[((k + 1) % len(LABEL_ORDER), 0)])
+        axis = model.osculating_primes[conics[k]]
+        space_elations[k] = pg.perspectivity(
+            base, axis, (x, internal_partner(model, base, x))
+        )
+    layer_elations: dict[int, Mapping[Point, Point]] = {}
+    for k in LABEL_ORDER:
+        mu = space_elations[(k - 1) % len(LABEL_ORDER)]
+        perm = {p: pg.apply_collineation(mu, p) for p in plane_points[k]}
+        for j in (0, 1, 2):
+            if {perm[p] for p in layers[(k, j)]} != layers[(k, (j + 1) % 3)]:
+                raise ValueError(
+                    f"the elation of conic {LABEL_NAMES[k]} at {base} does not carry "
+                    f"layer {j} onto layer {(j + 1) % 3}"
+                )
+        layer_elations[k] = MappingProxyType(perm)
+    profiles: dict[int, Mapping[int, int]] = {}
+    for cls in (0, 1, 2):
+        rep = (cls, 0, 0, 0)
+        s = TwelveSet(points=_layer_union(layers, rep), quadruple=rep)
+        profiles[cls] = MappingProxyType(hyperplane_profile(s))
+    if len({tuple(p.items()) for p in profiles.values()}) != 3:
+        raise ValueError(f"class profiles at {base} are not distinct: {profiles}")
     return LayerSystem(
         conics=MappingProxyType(conics),
         layers=MappingProxyType(layers),
         plane_points=MappingProxyType(plane_points),
+        space_elations=MappingProxyType(space_elations),
+        layer_elations=MappingProxyType(layer_elations),
+        profiles=MappingProxyType(profiles),
+        target=pg.hyperplanes_meeting(5, [base], 0)[0],
     )
 
 
-@lru_cache(maxsize=None)
-def _space_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
-    """The space elation with centre at the base and axis the osculating
-    prime of conic k that sends the least conic point x of the next label's
-    layer 0 to its internal partner (unchecked; extended_elation checks it)."""
-    system = conic_layers(model, base)
-    x = min(system.layers[((k + 1) % len(LABEL_ORDER), 0)])
-    axis = model.osculating_primes[system.conics[k]]
-    return pg.perspectivity(base, axis, (x, internal_partner(model, base, x)))
-
-
-@lru_cache(maxsize=None)
-def layer_elation(model: VeroneseModel, base: Point, k: int) -> Mapping[Point, Point]:
-    """The plane elation with centre at the base and axis the tangent there
-    that cycles layer 0 -> 1 -> 2 -> 0, as an explicit (read-only)
-    permutation of the 13 points of the conic plane.
-
-    It is the restriction of the previous label's space elation, which sends
-    one conic point to its internal partner and whose axis meets this plane
-    in the tangent; that it cycles the three layers of conic_layers is
-    checked, not assumed.
-    """
-    system = conic_layers(model, base)
-    mu = _space_elation(model, base, (k - 1) % len(LABEL_ORDER))
-    perm = {p: pg.apply_collineation(mu, p) for p in system.plane_points[k]}
-    for j in (0, 1, 2):
-        if {perm[p] for p in system.layers[(k, j)]} != system.layers[(k, (j + 1) % 3)]:
-            raise ValueError(
-                f"the elation of conic {LABEL_NAMES[k]} at {base} does not carry "
-                f"layer {j} onto layer {(j + 1) % 3}"
-            )
-    return MappingProxyType(perm)
-
-
-def extended_elation(model: VeroneseModel, base: Point, k: int) -> Collineation:
-    """The space elation with centre at the base and axis the osculating
-    prime of conic k that restricts to the identity on conic k's plane and to
-    the first power of the layer elation on each of the other three.
-
-    The restriction to all four planes is checked, not assumed.  For the
-    default base and k = 0 it is the literal BASE_EXTENSION.
-    """
-    mu = _space_elation(model, base, k)
-    _check_extension(base, k, induced_layer_powers(model, base, mu))
-    return mu
-
-
-def _check_extension(base: Point, k: int, powers: tuple[int, ...] | None) -> None:
-    expected = tuple(int(i != k) for i in LABEL_ORDER)
-    if powers != expected:
-        raise ValueError(
-            f"extension of conic {LABEL_NAMES[k]} at {base} induces powers {powers}, "
-            f"not {expected}"
-        )
-
-
 def induced_layer_powers(
-    model: VeroneseModel, base: Point, g: Collineation | Mapping[Point, Point]
+    model: VeroneseModel, base: Point, act: Mapping[Point, Point]
 ) -> tuple[int, ...] | None:
     """Which power of each conic plane's layer elation a collineation induces,
     or None if it fails to preserve some conic plane or induces something
-    else entirely.  The collineation is given by its matrix, or by its action
-    on the points of the four conic planes as group_closure returns it."""
+    else entirely.  The collineation is given by its action on the points of
+    the four conic planes, as group_closure returns it."""
     system = conic_layers(model, base)
-    act = g.__getitem__ if isinstance(g, Mapping) else partial(pg.apply_collineation, g)
     out = []
     for k in LABEL_ORDER:
-        kappa = layer_elation(model, base, k)
+        kappa = system.layer_elations[k]
         power = system.plane_points[k]
-        image = tuple(map(act, power))
+        image = tuple(map(act.__getitem__, power))
         for e in (0, 1, 2):
             if image == power:
                 out.append(e)
@@ -256,12 +247,15 @@ def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
     """Union of one layer per conic, as dictated by the quadruple."""
     if len(quad) != len(LABEL_ORDER):
         raise ValueError(f"quadruple {tuple(quad)} has {len(quad)} entries, not 4")
-    system = conic_layers(model, base)
     quad = tuple(q % 3 for q in quad)
-    pts: set[Point] = set()
-    for k, j in zip(LABEL_ORDER, quad):
-        pts |= system.layers[(k, j)]
-    return TwelveSet(points=frozenset(pts), quadruple=quad)
+    points = _layer_union(conic_layers(model, base).layers, quad)
+    return TwelveSet(points=points, quadruple=quad)
+
+
+def _layer_union(
+    layers: Mapping[tuple[int, int], frozenset[Point]], quad: Quadruple
+) -> frozenset[Point]:
+    return frozenset().union(*(layers[(k, j)] for k, j in zip(LABEL_ORDER, quad)))
 
 
 def hyperplane_profile(s: TwelveSet) -> dict[int, int]:
@@ -271,26 +265,11 @@ def hyperplane_profile(s: TwelveSet) -> dict[int, int]:
     return {k: n for k in range(len(s.points) + 1) if (n := sizes.count(k))}
 
 
-@lru_cache(maxsize=None)
-def reference_profiles(
-    model: VeroneseModel, base: Point
-) -> Mapping[int, Mapping[int, int]]:
-    """The three per-class hyperplane profiles, computed from one
-    representative each; they must be pairwise distinct."""
-    reps = {0: (0, 0, 0, 0), 1: (1, 0, 0, 0), 2: (2, 0, 0, 0)}
-    profiles = {
-        cls: hyperplane_profile(twelve_set(model, base, q)) for cls, q in reps.items()
-    }
-    if len({tuple(p.items()) for p in profiles.values()}) != 3:
-        raise ValueError(f"class profiles at {base} are not distinct: {profiles}")
-    return MappingProxyType({cls: MappingProxyType(p) for cls, p in profiles.items()})
-
-
 def classify(model: VeroneseModel, base: Point, s: TwelveSet) -> str:
     """Class of a twelve-set: quadruple sum mod 3, cross-validated against
     the hyperplane profile invariant."""
     cls = sum(s.quadruple) % 3
-    expected = reference_profiles(model, base)[cls]
+    expected = conic_layers(model, base).profiles[cls]
     actual = hyperplane_profile(s)
     if actual != expected:
         raise ValueError(
@@ -348,18 +327,22 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     quadruples and the images of the start sets are read from each element's
     action on the four conic planes, as group_closure carries it.
     """
-    support = sorted(set().union(*conic_layers(model, base).plane_points.values()))
-    mus = [_space_elation(model, base, k) for k in LABEL_ORDER]
+    system = conic_layers(model, base)
+    support = sorted(set().union(*system.plane_points.values()))
+    mus = [system.space_elations[k] for k in LABEL_ORDER]
     actions = group_closure(mus, support)
-    for k, mu in zip(LABEL_ORDER, mus):
-        _check_extension(base, k, induced_layer_powers(model, base, actions[mu]))
     group = sorted(actions)
-    induced: dict[Collineation, Quadruple] = {}
-    for g in group:
-        powers = induced_layer_powers(model, base, actions[g])
+    induced = {g: induced_layer_powers(model, base, actions[g]) for g in group}
+    for k, mu in zip(LABEL_ORDER, mus):
+        expected = tuple(int(i != k) for i in LABEL_ORDER)
+        if induced[mu] != expected:
+            raise ValueError(
+                f"extension of conic {LABEL_NAMES[k]} at {base} induces powers "
+                f"{induced[mu]}, not {expected}"
+            )
+    for g, powers in induced.items():
         if powers is None:
             raise ValueError(f"group element {g} does not induce layer elations")
-        induced[g] = powers
     sums_ok = all(sum(q) % 3 == 0 for q in induced.values())
     bijective = len(set(induced.values())) == len(group)
     joint_unit = any(q == (1, 1, 1, 1) for q in induced.values())
@@ -386,12 +369,6 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
         cap_complete=set(witnesses[1]) == cap_quads,
         induced_quadruples=induced,
     )
-
-
-@lru_cache(maxsize=None)
-def default_projection_target(base: Point) -> Hyperplane:
-    """First prime in enumeration order that misses the base point."""
-    return pg.hyperplanes_meeting(5, [base], 0)[0]
 
 
 @lru_cache(maxsize=None)
@@ -477,7 +454,7 @@ def analyze_exotic(
     if len(common) != 1:
         raise ValueError("six-point primes do not meet in a single point")
     if target is None:
-        target = default_projection_target(base)
+        target = conic_layers(model, base).target
     projection = project_from_base(model, base, s, target)
     return ExoticReport(
         six_point_primes=primes, common_point=common[0], projection=projection

@@ -123,13 +123,15 @@ def test_criterion_08_layer_elations_and_their_extension(model, base):
     system = cosets.conic_layers(model, base)
     ok = True
     for k in cosets.LABEL_ORDER:
-        kappa = cosets.layer_elation(model, base, k)
+        kappa = system.layer_elations[k]
         for j in (0, 1, 2):
             image = {kappa[p] for p in system.layers[(k, j)]}
             ok = ok and image == system.layers[(k, (j + 1) % 3)]
-    mu0 = cosets.extended_elation(model, base, 0)
+    mu0 = system.space_elations[0]
     ok = ok and mu0 == cosets.BASE_EXTENSION
-    ok = ok and cosets.induced_layer_powers(model, base, mu0) == (0, 1, 1, 1)
+    support = set().union(*system.plane_points.values())
+    act = {p: pg.apply_collineation(mu0, p) for p in support}
+    ok = ok and cosets.induced_layer_powers(model, base, act) == (0, 1, 1, 1)
     for p in pg.flat_points(system.conics[0].plane):
         ok = ok and pg.apply_collineation(mu0, p) == p
     _report(8, ok, "elations cycle the layers; the literal extension restricts right")

@@ -138,7 +138,7 @@ def test_every_five_subset_in_exactly_one_block(design):
 def test_verify_witt_passes_and_reports_quad_cover(design):
     report = capmod.verify_witt(design)
     assert report.ok
-    assert report.block_count == 132
+    assert len(design.blocks) == 132
     assert report.first_violation is None
     assert report.quad_cover_value == 4
 
@@ -181,7 +181,6 @@ def _reference_verify_witt(design):
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return capmod.WittReport(
         ok=len(pts) == 12 and sizes_ok and violation is None,
-        block_count=len(design.blocks),
         first_violation=violation,
         quad_cover_value=quad_counts.pop() if len(quad_counts) == 1 else None,
     )
@@ -274,10 +273,9 @@ def test_osculating_primes_through_base_cut_three_cap_points(model, base, cap):
 def test_dual_space_structure_is_again_a_witt_design(cap):
     # read the 12 missed primes as points of the dual space; sections by dual
     # hyperplanes (= points) again give a 5-(12,6,1) design
-    dual_points = capmod.missed_primes(cap)
-    report = capmod.verify_witt(capmod.blocks(dual_points))
-    assert report.ok
-    assert report.block_count == 132
+    dual = capmod.blocks(capmod.missed_primes(cap))
+    assert capmod.verify_witt(dual).ok
+    assert len(dual.blocks) == 132
 
 
 def test_vector_identity_check():

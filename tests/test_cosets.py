@@ -79,7 +79,7 @@ def test_layers_rejects_non_surface_base(model):
 def test_elation_fixes_base_and_tangent(model, pre, k):
     base = veronese_map(pre)
     system = cosets.conic_layers(model, base)
-    kappa = cosets.layer_elation(model, base, k)
+    kappa = system.layer_elations[k]
     assert kappa[base] == base
     for p in tangent_lines(system.conics[k])[base]:
         assert kappa[p] == p
@@ -89,7 +89,7 @@ def test_elation_fixes_base_and_tangent(model, pre, k):
 def test_elation_cycles_layers_and_cubes_to_identity(model, pre, k):
     base = veronese_map(pre)
     system = cosets.conic_layers(model, base)
-    kappa = cosets.layer_elation(model, base, k)
+    kappa = system.layer_elations[k]
     for j in (0, 1, 2):
         source = system.layers[(k, j)]
         assert {kappa[p] for p in source} == system.layers[(k, (j + 1) % 3)]
@@ -101,7 +101,7 @@ def test_elation_cycles_layers_and_cubes_to_identity(model, pre, k):
 def test_elation_restricted_to_conic_agrees_with_internal_partner(model, pre, k):
     base = veronese_map(pre)
     system = cosets.conic_layers(model, base)
-    kappa = cosets.layer_elation(model, base, k)
+    kappa = system.layer_elations[k]
     for y in system.layers[(k, 0)]:
         assert kappa[y] == capmod.internal_partner(model, base, y)
 
@@ -111,8 +111,8 @@ def test_layer_elation_is_the_restriction_of_the_previous_extension(model, pre):
     base = veronese_map(pre)
     system = cosets.conic_layers(model, base)
     for k in cosets.LABEL_ORDER:
-        kappa = cosets.layer_elation(model, base, k)
-        mu = cosets.extended_elation(model, base, (k - 1) % 4)
+        kappa = system.layer_elations[k]
+        mu = system.space_elations[(k - 1) % 4]
         for p in system.plane_points[k]:
             assert kappa[p] == pg.apply_collineation(mu, p)
 
@@ -148,43 +148,47 @@ def test_labels_at_every_base(model):
 
 def test_layer_elation_rejects_swapped_layers(model, base, monkeypatch):
     # with layers 1 and 2 of conic 3 swapped, the inverse elation would still
-    # cycle them; the elation is pinned by the internal partner, so it fails
+    # cycle them; the elation is pinned by the internal partner, so it fails.
+    # The swap is forged at the partition the record is built from.
     true = cosets.conic_layers(model, base)
-    layers = dict(true.layers)
-    layers[(3, 1)], layers[(3, 2)] = true.layers[(3, 2)], true.layers[(3, 1)]
-    forged = dataclasses.replace(true, layers=layers)
-    cached = (
-        cosets.conic_layers,
-        cosets.layer_elation,
-        cosets.reference_profiles,
-        cosets._projection_frame,
-        cosets.default_projection_target,
+    conic = true.conics[3]
+    tangent = tangent_lines(conic)[base]
+    swapped = dataclasses.replace(
+        classify_conic_plane(conic),
+        internal=true.layers[(3, 2)],
+        external=true.layers[(3, 1)] | (tangent - {base}),
     )
-    for fn in cached:
-        fn.cache_clear()
-    monkeypatch.setattr(cosets, "conic_layers", lambda m, b: forged)
+    monkeypatch.setattr(
+        cosets,
+        "classify_conic_plane",
+        lambda c: swapped if c == conic else classify_conic_plane(c),
+    )
+    cosets.conic_layers.cache_clear()
     try:
         with pytest.raises(ValueError, match="conic inf "):
-            cosets.layer_elation(model, base, 3)
+            cosets.conic_layers(model, base)
     finally:
-        for fn in cached:
-            fn.cache_clear()
+        cosets.conic_layers.cache_clear()
 
 
 def test_cached_geometry_is_read_only(model, base, system):
-    kappa = cosets.layer_elation(model, base, 0)
+    kappa = system.layer_elations[0]
     x = min(system.layers[(0, 0)])
     with pytest.raises(TypeError):
         kappa[x] = x
     with pytest.raises(TypeError):
         system.layers[(0, 0)] = frozenset()
-    assert cosets.layer_elation(model, base, 0)[x] != x
+    with pytest.raises(TypeError):
+        system.layer_elations[0] = {}
+    with pytest.raises(TypeError):
+        system.space_elations[0] = cosets.BASE_EXTENSION
+    assert cosets.conic_layers(model, base).layer_elations[0][x] != x
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
-    target = cosets.default_projection_target(base)
+    target = system.target
     first = cosets.project_from_base(model, base, s, target)
     first.lines[0] = ()
     assert cosets.project_from_base(model, base, s, target).lines[0] != ()
-    profiles = cosets.reference_profiles(model, base)
+    profiles = system.profiles
     with pytest.raises(TypeError):
         profiles[0][3] = 0
     with pytest.raises(TypeError):
@@ -217,27 +221,33 @@ def test_next_layer_is_internal_points_of_previous_layer_conic(
             assert internal == system.layers[(k, (j + 1) % 3)]
 
 
-def test_base_extension_is_the_expected_literal(model, base):
-    mu0 = cosets.extended_elation(model, base, 0)
+def test_base_extension_is_the_expected_literal(system):
+    mu0 = system.space_elations[0]
     assert mu0 == cosets.BASE_EXTENSION
     assert pg.apply_collineation(mu0, (0, 0, 0, 0, 0, 1)) == (1, 0, 0, 0, 0, 1)
 
 
-def test_base_extension_fixes_its_conic_plane_pointwise(model, base, system):
-    mu0 = cosets.extended_elation(model, base, 0)
+def test_base_extension_fixes_its_conic_plane_pointwise(system):
+    mu0 = system.space_elations[0]
     for p in pg.flat_points(system.conics[0].plane):
         assert pg.apply_collineation(mu0, p) == p
 
 
-def test_base_extension_restricts_to_first_powers_elsewhere(model, base):
-    mu0 = cosets.extended_elation(model, base, 0)
-    assert cosets.induced_layer_powers(model, base, mu0) == (0, 1, 1, 1)
+def _plane_action(system, mu):
+    """The collineation's action on the 49 points of the four conic planes."""
+    support = set().union(*system.plane_points.values())
+    return {p: pg.apply_collineation(mu, p) for p in support}
+
+
+def test_base_extension_restricts_to_first_powers_elsewhere(model, base, system):
+    act = _plane_action(system, system.space_elations[0])
+    assert cosets.induced_layer_powers(model, base, act) == (0, 1, 1, 1)
 
 
 @pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
-def test_extended_elations_have_expected_restriction_shape(model, base, k):
-    mu = cosets.extended_elation(model, base, k)
-    powers = cosets.induced_layer_powers(model, base, mu)
+def test_extended_elations_have_expected_restriction_shape(model, base, system, k):
+    act = _plane_action(system, system.space_elations[k])
+    powers = cosets.induced_layer_powers(model, base, act)
     pos = cosets.LABEL_ORDER.index(k)
     assert powers is not None
     assert powers[pos] == 0
@@ -248,7 +258,7 @@ def test_extended_elations_have_expected_restriction_shape(model, base, k):
 @pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
 def test_extended_elation_is_a_perspectivity(model, base, system, k):
     # fixes the osculating prime of conic k pointwise and the base linewise
-    mu = cosets.extended_elation(model, base, k)
+    mu = system.space_elations[k]
     axis = model.osculating_primes[system.conics[k]]
     for p in pg.enumerate_points(5):
         q = pg.apply_collineation(mu, p)
@@ -281,11 +291,14 @@ def test_class_sizes_are_27_each():
     assert sums.count(0) == sums.count(1) == sums.count(2) == 27
 
 
-def test_reference_profiles_frozen_values(model, base):
-    profiles = cosets.reference_profiles(model, base)
-    assert profiles[0] == SURFACE_PROFILE
-    assert profiles[1] == CAP_PROFILE
-    assert profiles[2] == EXOTIC_PROFILE
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_reference_profiles_frozen_values(model, pre):
+    base = veronese_map(pre)
+    system = cosets.conic_layers(model, base)
+    assert system.profiles[0] == SURFACE_PROFILE
+    assert system.profiles[1] == CAP_PROFILE
+    assert system.profiles[2] == EXOTIC_PROFILE
+    assert system.target == pg.hyperplanes_meeting(5, [base], 0)[0]
 
 
 def test_profile_identities(model, base):
@@ -336,9 +349,9 @@ def test_classify_all_81_against_profiles(model, base):
     for q in cosets.all_quadruples():
         s = cosets.twelve_set(model, base, q)
         assert cosets.classify(model, base, s) == names[sum(q) % 3]
-        assert cosets.hyperplane_profile(s) == cosets.reference_profiles(
+        assert cosets.hyperplane_profile(s) == cosets.conic_layers(
             model, base
-        )[sum(q) % 3]
+        ).profiles[sum(q) % 3]
 
 
 def test_classify_rejects_mismatched_quadruple(model, base):
@@ -470,7 +483,7 @@ def test_exotic_profile_differs_from_every_other_class(model, base):
 
 def test_projection_geometry(model, base):
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
-    target = cosets.default_projection_target(base)
+    target = cosets.conic_layers(model, base).target
     assert target == (1, 0, 0, 0, 0, 0)
     proj = cosets.project_from_base(model, base, s, target)
     lines = [set(proj.lines[k]) for k in cosets.LABEL_ORDER]
@@ -490,7 +503,7 @@ def test_projection_transversal_is_unique(model, base):
     # no other line of the target prime meets all four projected lines
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
     proj = cosets.project_from_base(
-        model, base, s, cosets.default_projection_target(base)
+        model, base, s, cosets.conic_layers(model, base).target
     )
     lines = [set(proj.lines[k]) for k in cosets.LABEL_ORDER]
     carrier = sorted(set().union(*lines))
@@ -503,11 +516,11 @@ def test_projection_transversal_is_unique(model, base):
 
 
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
-def test_closed_form_projection_matches_line_through(pre):
+def test_closed_form_projection_matches_line_through(model, pre):
     # (b.h) x - (x.h) b is the one point of the line from the base through x
     # that lies on the target, for every point x off the base
     b = veronese_map(pre)
-    h = cosets.default_projection_target(b)
+    h = cosets.conic_layers(model, b).target
     for x in pg.enumerate_points(5):
         if x == b:
             continue
@@ -517,7 +530,7 @@ def test_closed_form_projection_matches_line_through(pre):
 
 def test_projection_rejects_a_point_projected_off_the_target(model, base, monkeypatch):
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
-    target = cosets.default_projection_target(base)
+    target = cosets.conic_layers(model, base).target
     off = next(p for p in pg.enumerate_points(5) if not pg.incident(p, target))
     monkeypatch.setattr(cosets, "_project", lambda b, h, x: off)
     with pytest.raises(ValueError, match=re.escape(str(off))):
@@ -541,7 +554,7 @@ def test_projection_frame_matches_meeting_the_planes_with_the_target(model, pre)
     base = veronese_map(pre)
     off_base = pg.hyperplanes_meeting(5, [base], 0)
     rng = random.Random(pg.enumerate_points(2).index(pre))
-    for target in [cosets.default_projection_target(base), *rng.sample(off_base, 5)]:
+    for target in [cosets.conic_layers(model, base).target, *rng.sample(off_base, 5)]:
         lines, transversal, off = cosets._projection_frame(model, base, target)
         assert (dict(lines), transversal) == _meet_frame(model, base, target)
         assert off == set().union(*lines.values()) - set(transversal)
@@ -560,10 +573,10 @@ def test_everything_works_at_a_non_default_base(model):
         base2 = veronese_map(pre)
         system2 = cosets.conic_layers(model, base2)
         for k in cosets.LABEL_ORDER:
-            kappa = cosets.layer_elation(model, base2, k)
+            kappa = system2.layer_elations[k]
             assert kappa[base2] == base2
-            mu = cosets.extended_elation(model, base2, k)
-            powers = cosets.induced_layer_powers(model, base2, mu)
+            act = _plane_action(system2, system2.space_elations[k])
+            powers = cosets.induced_layer_powers(model, base2, act)
             assert powers is not None and powers[cosets.LABEL_ORDER.index(k)] == 0
         report = cosets.verify_orbit_equivalence(model, base2)
         assert report.group_order == 27
@@ -635,7 +648,8 @@ def test_group_closure_at_every_base_matches_the_reference(model, pre):
     base = veronese_map(pre)
     support = _conic_plane_support(model, base)
     assert pg.determines_collineations(tuple(support))
-    mus = [cosets.extended_elation(model, base, k) for k in cosets.LABEL_ORDER]
+    system = cosets.conic_layers(model, base)
+    mus = [system.space_elations[k] for k in cosets.LABEL_ORDER]
     closure = cosets.group_closure(mus, support)
     assert len(closure) == 27
     assert list(closure.items()) == list(_reference_closure(mus, support).items())
@@ -678,7 +692,7 @@ def _induced_powers(model, base, g):
     system = cosets.conic_layers(model, base)
     out = []
     for k in cosets.LABEL_ORDER:
-        kappa = cosets.layer_elation(model, base, k)
+        kappa = system.layer_elations[k]
         perm = {p: _apply(g, p) for p in pg.flat_points(system.conics[k].plane)}
         power = {p: p for p in kappa}
         for e in (0, 1, 2):
@@ -702,10 +716,11 @@ def _line_projection(base, target, pts):
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
 def test_orbit_and_exotic_reports_match_per_point_routines(model, pre):
     base = veronese_map(pre)
-    support = sorted(set().union(*cosets.conic_layers(model, base).plane_points.values()))
+    system = cosets.conic_layers(model, base)
+    support = sorted(set().union(*system.plane_points.values()))
     group = sorted(
         cosets.group_closure(
-            [cosets.extended_elation(model, base, k) for k in cosets.LABEL_ORDER], support
+            [system.space_elations[k] for k in cosets.LABEL_ORDER], support
         )
     )
     report = cosets.verify_orbit_equivalence(model, base)
@@ -727,13 +742,12 @@ def test_orbit_and_exotic_reports_match_per_point_routines(model, pre):
         assert list(got.items()) == list(want.items())
 
     # incidence of every point of the 81 sets with every prime, point by point
-    system = cosets.conic_layers(model, base)
     on = {
         p: [pg.incident(p, h) for h in pg.enumerate_hyperplanes(5)]
         for layer in system.layers.values()
         for p in layer
     }
-    target = cosets.default_projection_target(base)
+    target = system.target
     assert not pg.incident(base, target)
     lines = {
         k: tuple(sorted(_line_projection(base, target, set(system.plane_points[k]) - {base})))
