@@ -64,22 +64,6 @@ class WittReport:
     quad_cover_value: int | None
 
 
-def internal_partner(model: VeroneseModel, base: Point, y: Point) -> Point:
-    """The unique internal point of the conic through base and y that is
-    collinear with both.  Each bisecant of an order-3 conic carries exactly
-    one internal point, so this is well defined."""
-    if not model.is_surface_point(y) or y == base:
-        raise ValueError("need a surface point distinct from the base")
-    conic = model.conic_through(base, y)
-    internal = classify_conic_plane(conic).internal
-    hits = [p for p in pg.line_through(base, y) if p in internal]
-    if len(hits) != 1:
-        raise ValueError(
-            f"the line through {base} and {y} has {len(hits)} internal points"
-        )
-    return hits[0]
-
-
 def cap_map(x: Sequence[int], base: Point = DEFAULT_BASE) -> Point:
     """Closed-form cap parametrization: x -> v(x) + base.
 

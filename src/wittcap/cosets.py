@@ -16,9 +16,9 @@ twelve-point sets, indexed by quadruples in F^4:
 
 The layer elations of index quadruples summing to 0 extend jointly to
 space collineations; the group of those extensions has order 27 and its
-orbits sweep out the sum-0 and sum-1 classes.  Every elation is a space
-elation built by pg.perspectivity from one point pair; each layer elation is
-the restriction of the previous label's space elation to its conic plane.
+orbits sweep out the sum-0 and sum-1 classes.  The space elation of a
+conic with osculating prime a is the matrix I + a^T base; each layer elation
+is the restriction of the previous label's space elation to its conic plane.
 conic_layers builds, once per base, the one record that all of this reads:
 the labelled conics, their layers and plane points, the space and layer
 elations, the three class profiles and the default projection target.
@@ -37,7 +37,6 @@ from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
 from . import gf3, pg
-from .cap import internal_partner
 from .pg import Collineation, Hyperplane, Point
 from .veronese import (
     Conic,
@@ -163,13 +162,16 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
 
     For each conic through the base: layer 0 = conic minus base, layer 1 =
     internal points, layer 2 = external points off the tangent at the base.
-    The space elation of label k has centre at the base and axis the
-    osculating prime of conic k, and sends the least point x of the next
-    label's layer 0 to its internal partner.  The layer elation of label k
-    is the previous label's space elation restricted to conic k's plane,
-    where its axis meets the plane in the tangent; that it cycles layer
-    0 -> 1 -> 2 -> 0 is checked, not assumed.  The class profiles are read
-    from the sets (c, 0, 0, 0) and must be pairwise distinct.
+    The space elation of label k is I + a^T base, with a the osculating
+    prime of conic k: it fixes that prime pointwise, since base.a = 0, and
+    sends each surface point y = v(x) off conic k to y + base, the internal
+    point of the secant through the base and y, since y.a = (l.x)^2 = 1 for
+    the conic's preimage line l (as canonical vectors, y and a each lead
+    with a square).  The layer elation of label k is the previous label's
+    space elation restricted to conic k's plane, where its axis meets the
+    plane in the tangent; that it cycles layer 0 -> 1 -> 2 -> 0 is checked,
+    not assumed.  The class profiles are read from the sets (c, 0, 0, 0) and
+    must be pairwise distinct.
     """
     conics = labeled_conics(model, base)
     layers: dict[tuple[int, int], frozenset[Point]] = {}
@@ -180,13 +182,13 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         layers[(k, 1)] = part.internal
         layers[(k, 2)] = part.external - tangent_lines(c)[base]
         plane_points[k] = pg.flat_points(c.plane)
-    space_elations: dict[int, Collineation] = {}
-    for k in LABEL_ORDER:
-        x = min(layers[((k + 1) % len(LABEL_ORDER), 0)])
-        axis = model.osculating_primes[conics[k]]
-        space_elations[k] = pg.perspectivity(
-            base, axis, (x, internal_partner(model, base, x))
+    space_elations = {
+        k: pg.collineation(
+            (int(i == j) + a * b for j, b in enumerate(base))
+            for i, a in enumerate(model.osculating_primes[conics[k]])
         )
+        for k in LABEL_ORDER
+    }
     layer_elations: dict[int, Mapping[Point, Point]] = {}
     for k in LABEL_ORDER:
         mu = space_elations[(k - 1) % len(LABEL_ORDER)]

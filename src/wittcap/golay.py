@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
-from . import gf3, pg
+from . import gf3
 from .gf3 import Matrix, Vector
 from .pg import Point
 from .cap import CapSet, cap_domain, cap_map

@@ -200,34 +200,3 @@ def apply_collineation(c: Collineation, p: Sequence[int]) -> Point:
 def compose(a: Collineation, b: Collineation) -> Collineation:
     """Apply a, then b (row-vector convention: x * (a b) = (x * a) * b)."""
     return canonical_collineation(gf3.mat_mul(a, b))
-
-
-def perspectivity(
-    centre: Point, axis: Hyperplane, pair: tuple[Point, Point]
-) -> Collineation:
-    """The unique collineation fixing `axis` pointwise and `centre` linewise
-    that maps pair[0] to pair[1].
-
-    Built from the one-parameter family I + t * axis^T centre, which is every
-    central collineation with this centre and axis (elation when the centre
-    lies on the axis, homology otherwise).  The pair must be collinear with
-    the centre, with pair[0] off the axis and distinct from the centre.
-    """
-    centre = canonical_point(centre)
-    axis = canonical_point(axis)
-    x, y = canonical_point(pair[0]), canonical_point(pair[1])
-    if gf3.dot(x, axis) == 0:
-        raise ValueError("pair[0] lies on the axis")
-    if x == centre:
-        raise ValueError("pair[0] equals the centre")
-    if y != x and y not in line_through(centre, x):
-        raise ValueError("centre, pair[0], pair[1] are not collinear")
-    n = len(centre)
-    for t in (0, 1, 2):
-        m = tuple(
-            tuple((int(i == j) + t * axis[i] * centre[j]) % 3 for j in range(n))
-            for i in range(n)
-        )
-        if gf3.rank(m) == n and apply_collineation(m, x) == y:
-            return canonical_collineation(m)
-    raise ValueError("no central collineation maps pair[0] to pair[1]")

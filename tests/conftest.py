@@ -2,7 +2,8 @@ import pytest
 
 from wittcap import cap as capmod
 from wittcap import golay as golaymod
-from wittcap.veronese import build_model, veronese_map
+from wittcap import pg
+from wittcap.veronese import build_model, classify_conic_plane, veronese_map
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +14,21 @@ def model():
 @pytest.fixture(scope="session")
 def base(model):
     return veronese_map((1, 0, 0))
+
+
+@pytest.fixture(scope="session")
+def internal_partner(model):
+    """The reference the closed forms are checked against: the internal
+    point of the conic through the base and the surface point y that lies on
+    the line through them, found by search; there must be exactly one."""
+
+    def partner(base, y):
+        internal = classify_conic_plane(model.conic_through(base, y)).internal
+        hits = [p for p in pg.line_through(base, y) if p in internal]
+        assert len(hits) == 1, f"{len(hits)} internal points on the line {base} {y}"
+        return hits[0]
+
+    return partner
 
 
 @pytest.fixture(scope="session")

@@ -18,33 +18,6 @@ EXPECTED_MISSING_PRIME_LITERALS = [
 ]
 
 
-def test_internal_partner_value(model, base):
-    assert capmod.internal_partner(model, base, (0, 0, 0, 1, 0, 0)) == (1, 0, 0, 1, 0, 0)
-
-
-def test_internal_partner_is_collinear(model, base):
-    for y in model.points:
-        if y == base:
-            continue
-        partner = capmod.internal_partner(model, base, y)
-        assert partner in pg.line_through(base, y)
-
-
-def test_internal_partner_rejects_bad_input(model, base):
-    with pytest.raises(ValueError):
-        capmod.internal_partner(model, base, base)
-    with pytest.raises(ValueError):
-        capmod.internal_partner(model, base, (1, 1, 0, 0, 0, 0))
-
-
-def test_internal_partner_is_a_bijection_onto_the_cap(model, base, cap):
-    images = {
-        capmod.internal_partner(model, base, y) for y in model.points if y != base
-    }
-    assert images == cap.points
-    assert len(images) == 12
-
-
 def test_cap_map_values():
     assert capmod.cap_map((0, 1, 0)) == (1, 0, 0, 1, 0, 0)
     assert capmod.cap_map((0, 0, 1)) == (1, 0, 0, 0, 0, 1)
@@ -59,14 +32,12 @@ def test_cap_map_rejects_the_removed_point():
 
 
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
-def test_cap_map_agrees_with_internal_partner(model, pre):
+def test_cap_map_agrees_with_internal_partner(internal_partner, pre):
     base = veronese_map(pre)
     domain = capmod.cap_domain(base)
     assert domain == tuple(x for x in pg.enumerate_points(2) if x != pre)
     for x in domain:
-        assert capmod.cap_map(x, base) == capmod.internal_partner(
-            model, base, veronese_map(x)
-        )
+        assert capmod.cap_map(x, base) == internal_partner(base, veronese_map(x))
     with pytest.raises(ValueError, match="domain"):
         capmod.cap_map(pre, base)
 

@@ -98,12 +98,38 @@ def test_elation_cycles_layers_and_cubes_to_identity(model, pre, k):
 
 
 @pytest.mark.parametrize("pre, k", BASE_LABELS)
-def test_elation_restricted_to_conic_agrees_with_internal_partner(model, pre, k):
+def test_elation_restricted_to_conic_agrees_with_internal_partner(
+    model, internal_partner, pre, k
+):
     base = veronese_map(pre)
     system = cosets.conic_layers(model, base)
     kappa = system.layer_elations[k]
     for y in system.layers[(k, 0)]:
-        assert kappa[y] == capmod.internal_partner(model, base, y)
+        assert kappa[y] == internal_partner(base, y)
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_record_agrees_with_the_closed_form(model, pre):
+    # a second route to the record: layer j of conic k is conic k minus the
+    # base moved by y -> y + j base, and the space elation of label k fixes
+    # its osculating prime pointwise and sends each surface point off conic k
+    # to the cap point of its preimage
+    base = veronese_map(pre)
+    system = cosets.conic_layers(model, base)
+    for k, conic in system.conics.items():
+        for j in (0, 1, 2):
+            assert system.layers[(k, j)] == {
+                pg.canonical_point(gf3.vec_add(y, gf3.vec_scale(j, base)))
+                for y in conic.points - {base}
+            }
+        mu = system.space_elations[k]
+        axis = model.osculating_primes[conic]
+        for p in pg.enumerate_points(5):
+            if pg.incident(p, axis):
+                assert pg.apply_collineation(mu, p) == p
+        for x in pg.enumerate_points(2):
+            if not pg.incident(x, conic.preimage_line):
+                assert pg.apply_collineation(mu, veronese_map(x)) == capmod.cap_map(x, base)
 
 
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
@@ -148,7 +174,8 @@ def test_labels_at_every_base(model):
 
 def test_layer_elation_rejects_swapped_layers(model, base, monkeypatch):
     # with layers 1 and 2 of conic 3 swapped, the inverse elation would still
-    # cycle them; the elation is pinned by the internal partner, so it fails.
+    # cycle them; the closed form I + a^T base sends each conic point y to
+    # y + base, the true layer 1, so the cycle check fails.
     # The swap is forged at the partition the record is built from.
     true = cosets.conic_layers(model, base)
     conic = true.conics[3]

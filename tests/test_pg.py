@@ -267,71 +267,6 @@ def test_collineation_rejects_singular():
         pg.collineation(((1, 1), (1, 1)))
 
 
-def test_perspectivity_identity_pair():
-    centre = (1, 0, 0, 0, 0, 0)
-    axis = (0, 0, 0, 0, 0, 1)
-    x = (0, 0, 0, 0, 0, 1)
-    assert pg.perspectivity(centre, axis, (x, x)) == gf3.identity(6)
-
-
-def test_perspectivity_reproduces_the_space_elation():
-    centre = (1, 0, 0, 0, 0, 0)
-    axis = (0, 0, 0, 0, 0, 1)
-    pair = ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
-    assert pg.perspectivity(centre, axis, pair) == MU
-
-
-def test_perspectivity_fixes_axis_pointwise():
-    centre = (1, 0, 0, 0, 0, 0)
-    axis = (0, 0, 0, 0, 0, 1)
-    pair = ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
-    m = pg.perspectivity(centre, axis, pair)
-    for p in pg.enumerate_points(5):
-        if pg.incident(p, axis):
-            assert pg.apply_collineation(m, p) == p
-
-
-def test_perspectivity_keeps_centre_point_image_collinear():
-    rng = random.Random(7)
-    centre = (1, 0, 0, 0, 0, 0)
-    axis = (0, 0, 0, 0, 0, 1)
-    pair = ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
-    m = pg.perspectivity(centre, axis, pair)
-    pts = [p for p in pg.enumerate_points(5) if not pg.incident(p, axis) and p != centre]
-    for p in rng.sample(pts, 3):
-        q = pg.apply_collineation(m, p)
-        if q != p:
-            assert q in pg.line_through(centre, p)
-
-
-def test_perspectivity_homology_case():
-    # centre off the axis: the homology group has order q - 1 = 2, so the two
-    # admissible targets on the line (x itself and one more) exhaust it
-    centre = (1, 0, 0)
-    axis = (1, 0, 0)
-    x = (1, 1, 0)
-    images = set()
-    for target in pg.line_through(centre, x):
-        if target == centre or pg.incident(target, axis):
-            continue
-        m = pg.perspectivity(centre, axis, (x, target))
-        images.add(m)
-        assert pg.apply_collineation(m, x) == target
-    assert len(images) == 2
-    assert gf3.identity(3) in images
-
-
-def test_perspectivity_rejects_bad_pairs():
-    centre = (1, 0, 0, 0, 0, 0)
-    axis = (0, 0, 0, 0, 0, 1)
-    on_axis = (0, 1, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        pg.perspectivity(centre, axis, (on_axis, on_axis))
-    off_line = ((0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        pg.perspectivity(centre, axis, off_line)
-
-
 def test_compose_and_inverse():
     rng = random.Random(8)
     eye = gf3.identity(6)

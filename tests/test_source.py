@@ -90,3 +90,34 @@ def test_every_public_function_has_a_reader():
     assert not unread, "public function with no reader: " + ", ".join(unread)
     stale = sorted((exempt.keys() - {node.name for _, node in public}) | (exempt.keys() & read))
     assert not stale, "stale exemption: " + ", ".join(stale)
+
+
+def test_every_imported_name_is_read():
+    # an import its module never reads is dead; the exempt bindings are read
+    # from outside, and an exemption is stale once its import is gone or read
+    exempt = {
+        "cosets.lift_collineation": "bench/selftest.py checks that the tracer wraps it",
+        "cosets.veronese_map": "bench/selftest.py checks that the tracer wraps it",
+    }
+    src = Path(wittcap.__file__).parent
+    unread = set()
+    # the package __init__ imports its modules to expose them, not to read them
+    for path in sorted(p for p in src.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread |= {
+            f"{path.stem}.{alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read
+        }
+    offenders = sorted(unread - exempt.keys())
+    assert not offenders, "imported name never read: " + ", ".join(offenders)
+    stale = sorted(exempt.keys() - unread)
+    assert not stale, "stale exemption: " + ", ".join(stale)
