@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from . import gf3, pg
@@ -141,32 +142,75 @@ def is_cap(points: Iterable[Point]) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _lane_masks(n: int) -> tuple[int, ...]:
+    """low[i] holds 0xFF in every byte lane m of a 2^n-lane table whose
+    index m has bit i clear, and 0 elsewhere."""
+    return tuple(
+        int.from_bytes((b"\xff" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
+        for i in range(n)
+    )
+
+
+def _cover_counts(masks: Sequence[int], n: int) -> bytes:
+    """Entry m is the number of masks (subsets of n points, as ints) that
+    contain subset m, for all 2^n subsets at once.
+
+    One byte lane per subset, filled by the superset-sum transform: step i
+    adds lane m + 2^i into lane m for every m with bit i clear.  A lane
+    never exceeds len(masks), so no step carries into its neighbour.
+    """
+    if n > 16:
+        raise ValueError(f"a cover table holds at most 16 points, not {n}")
+    if len(masks) > 255:
+        raise ValueError(f"a byte lane counts at most 255 blocks, not {len(masks)}")
+    counts = bytearray(1 << n)
+    for m in masks:
+        counts[m] += 1
+    x = int.from_bytes(counts, "little")
+    for i, low in enumerate(_lane_masks(n)):
+        x += (x >> (8 << i)) & low
+    return x.to_bytes(1 << n, "little")
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(n: int, k: int) -> tuple[int, ...]:
+    """The k-subsets of range(n) as int masks, in itertools.combinations order."""
+    return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
+
+
 def verify_witt(design: Design) -> WittReport:
     """Check the 5-(12,6,1) axioms by full enumeration of the 792 5-subsets.
 
-    Cover counts are read from a count of the blocks' own 4- and 5-subsets,
-    as int masks: one bit per point of design.points, then one per block
-    point outside them.  Also reports the 4-subset covering number, which
-    must be constant.  The first violating 5-subset (with its cover count)
-    is recorded on failure.
+    Cover counts are read from `_cover_counts` over one bit per distinct
+    point of design.points; a block point outside them cannot change which
+    of those subsets the block contains.  Also reports the 4-subset covering
+    number, which must be constant.  The first violating 5-subset (with its
+    cover count) is recorded on failure.  A design on more than 16 distinct
+    points or with more than 255 blocks is refused (ValueError).
     """
     pts = design.points
-    every = dict.fromkeys(itertools.chain(pts, *(b.points for b in design.blocks)))
-    bit = {p: 1 << i for i, p in enumerate(every)}
-    rows = [tuple(map(bit.__getitem__, b.points)) for b in design.blocks]
-    cover = Counter(itertools.chain.from_iterable(
-        map(sum, itertools.combinations(r, k)) for r in rows for k in (4, 5)
-    ))
-    masks = [bit[p] for p in pts]
-    def union(a, b, c, d, e=0):  # by OR: a repeated design point adds its bit once
-        return a | b | c | d | e
-    fives = zip(itertools.combinations(pts, 5),
-                itertools.starmap(union, itertools.combinations(masks, 5)))
-    violation = next(((sub, cover[m]) for sub, m in fives if cover[m] != 1), None)
+    bit = {p: 1 << i for i, p in enumerate(dict.fromkeys(pts))}
+    table = _cover_counts([sum(bit.get(p, 0) for p in b.points) for b in design.blocks], len(bit))
+
+    def cover(k: int) -> bytes:
+        """The cover counts of the k-subsets of pts, in combinations order."""
+        if len(bit) == len(pts):
+            return bytes(map(table.__getitem__, _subset_masks(len(pts), k)))
+        # A repeated point: a subset counts as the set of its distinct
+        # points, and fewer than 4 of them are no block's 4- or 5-subset.
+        unions = (reduce(or_, c) for c in itertools.combinations(map(bit.get, pts), k))
+        return bytes(table[m] if m.bit_count() >= 4 else 0 for m in unions)
+
+    fives = cover(5)
+    first = len(fives) - len(fives.lstrip(b"\x01"))   # the first count other than 1
+    violation = None
     quad_counts = set()
-    if violation is None:
-        fours = itertools.starmap(union, itertools.combinations(masks, 4))
-        quad_counts = set(map(cover.__getitem__, fours))
+    if first < len(fives):
+        sub = next(itertools.islice(itertools.combinations(pts, 5), first, None))
+        violation = (sub, fives[first])
+    else:
+        quad_counts = set(cover(4))
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
         ok=len(pts) == 12 and sizes_ok and violation is None,
@@ -193,22 +237,23 @@ def vector_identity_check() -> bool:
     """
     # Raw, uncanonicalised maps: veronese_map and cap_map canonicalise their
     # argument, which would make the doubling half of the check vacuous.
-    def monomials(x):
-        return gf3.vec(x[i] * x[j] for i, j in MONOMIALS)
-
+    raw = {
+        x: gf3.vec(x[i] * x[j] for i, j in MONOMIALS)
+        for x in itertools.product((0, 1, 2), repeat=3)
+    }
     v_inf = (1, 0, 0, 0, 0, 0)
     for x1, x2 in itertools.product((0, 1, 2), repeat=2):
         if (x1, x2) == (0, 0):
             continue
-        v = {u: monomials((u, x1, x2)) for u in (0, 1, 2)}
+        v = [raw[u, x1, x2] for u in (0, 1, 2)]
         for u in (0, 1, 2):
             lhs = gf3.vec_add(v[u], v_inf)
             rhs = gf3.vec_scale(2, gf3.vec_add(v[(u + 1) % 3], v[(u + 2) % 3]))
             if lhs != rhs:
                 return False
-    raw_quadratics = [monomials, lambda x: gf3.vec_add(monomials(x), v_inf)]
+    raw_quadratics = [raw.__getitem__, lambda x: gf3.vec_add(raw[x], v_inf)]
     for f in raw_quadratics:
-        for x in itertools.product((0, 1, 2), repeat=3):
+        for x in raw:
             doubled = tuple((2 * t) % 3 for t in x)
             if f(x) != f(doubled):
                 return False
@@ -234,6 +279,10 @@ def automorphism_order(design: Design) -> int:
     base[:d] pointwise, and the closed orbit lies inside the true orbit.
     Every candidate outside the closed orbit was searched directly.  The
     order is the product of the orbit lengths.
+
+    Whether mapped points still lie in a common block is read from the
+    `_cover_counts` table, so a design on more than 16 points or with more
+    than 255 distinct blocks is refused (ValueError).
     """
     _, orbit_lengths, _ = _stabiliser_chain(design)
     return math.prod(orbit_lengths)
@@ -254,13 +303,8 @@ def _stabiliser_chain(
     blocks_of = tuple(
         tuple(bi for bi, bm in enumerate(block_masks) if bm >> i & 1) for i in range(n)
     )
-    # Every submask of every block, by the walk sub -> (sub - 1) & bm.
-    coverable = {0}
-    for bm in block_masks:
-        sub = bm
-        while sub:
-            coverable.add(sub)
-            sub = (sub - 1) & bm
+    # coverable[m] is nonzero iff the points of m lie in a common block.
+    coverable = _cover_counts(block_masks, n)
     # Constrained points first: order the base by block degree.  An image
     # must lie on as many blocks as its preimage.
     base = sorted(range(n), key=lambda i: (-len(blocks_of[i]), i))
@@ -281,8 +325,9 @@ def _stabiliser_chain(
         sending base[depth] to v extend to a block permutation?"""
         bit = 1 << v
         mine = blocks_of[base[depth]]
-        if not all((images[bi] | bit) in coverable for bi in mine):
-            return False
+        for bi in mine:
+            if not coverable[images[bi] | bit]:
+                return False
         for bi in mine:
             images[bi] |= bit
         assign[base[depth]] = v

@@ -91,25 +91,35 @@ def section_sizes(n: int, pts: Iterable[Point]) -> bytes:
     return sum(rows[p] for p in set(pts)).to_bytes(len(rows), "little")
 
 
+# bytes(255) + b"\x01" + bytes(255): slice [255 - k:511 - k] is the 256-byte
+# translate table sending k to 1 and every other byte to 0
+_ONE_HOT = bytes(255) + b"\x01" + bytes(255)
+
+
 def hyperplanes_meeting(n: int, pts: Iterable[Point], k: int) -> tuple[Hyperplane, ...]:
     """The hyperplanes carrying exactly k of the points, in enumeration order.
     The table is symmetric, so it also reads dually: given m hyperplanes in
     place of the points and k = m, it returns the points on all of them."""
     sizes = section_sizes(n, pts)
-    return tuple(h for h, size in zip(enumerate_hyperplanes(n), sizes) if size == k)
+    if not 0 <= k <= 255:
+        return ()
+    one_hot = _ONE_HOT[255 - k:511 - k]
+    return tuple(itertools.compress(enumerate_hyperplanes(n), sizes.translate(one_hot)))
 
 
 def sections(n: int, pts: Iterable[Point], k: int) -> dict[Hyperplane, frozenset[Point]]:
     """The hyperplanes carrying exactly k of the points, in enumeration order,
     each with the points it carries: by symmetry, a point lies on hyperplane j
     iff byte j of its own table entry is 1."""
-    pts = set(pts)
+    pts = tuple(set(pts))
     sizes = section_sizes(n, pts)
     rows = hyperplane_point_masks(n)
-    lanes = {p: rows[p].to_bytes(len(rows), "little") for p in pts}
+    lanes = [rows[p].to_bytes(len(rows), "little") for p in pts]
+    # column j holds byte j of every lane; with no points, every column is empty
+    columns = zip(*lanes) if lanes else itertools.repeat(())
     return {
-        h: frozenset(p for p in pts if lanes[p][j])
-        for j, (h, size) in enumerate(zip(enumerate_hyperplanes(n), sizes))
+        h: frozenset(itertools.compress(pts, col))
+        for h, size, col in zip(enumerate_hyperplanes(n), sizes, columns)
         if size == k
     }
 
@@ -141,12 +151,18 @@ def flat_points(f: Flat) -> tuple[Point, ...]:
     so zip(flat_points(f), enumerate_points(k-1)) pairs points with their
     coordinates in the flat."""
     cols = tuple(zip(*f))
-    # from a list, not a generator: tuple() grows a generator's tuple by
-    # realloc, and each freed result would then park on the tuple free list
-    return tuple([
-        canonical_point([sum(map(mul, coeff, col)) for col in cols])
-        for coeff in enumerate_points(len(f) - 1)
-    ])
+    # lists, not generators: tuple() grows a generator's tuple by realloc,
+    # and each freed result would then park on the tuple free list
+    out = []
+    for coeff in enumerate_points(len(f) - 1):
+        v = tuple([sum(map(mul, coeff, col)) % 3 for col in cols])
+        for x in v:
+            if x:
+                break
+        else:
+            raise ValueError("zero vector has no projective point")
+        out.append(v if x == 1 else tuple([(2 * y) % 3 for y in v]))
+    return tuple(out)
 
 
 def flat_from_dual(constraints: Iterable[Sequence[int]]) -> Flat:

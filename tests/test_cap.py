@@ -129,6 +129,43 @@ def test_verify_witt_fails_with_witness_on_perturbed_set(model, cap):
     assert report.quad_cover_value is None
 
 
+def _cover_count_cases(design):
+    """Seeded block systems on at most 8 points, with empty, repeated and
+    nested blocks, then the Witt design with one bit per point."""
+    rng = random.Random(23)
+    cases = []
+    for n in range(9):
+        for _ in range(6):
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))]
+            if masks:
+                masks += [0, masks[0], masks[-1] & rng.getrandbits(n)]
+            cases.append((masks, n))
+    witt = [sum(1 << design.points.index(p) for p in b.points) for b in design.blocks]
+    return cases + [(witt, 12)]
+
+
+def test_cover_counts_match_brute_force(design):
+    for masks, n in _cover_count_cases(design):
+        want = bytes(sum(b & m == m for b in masks) for m in range(1 << n))
+        assert capmod._cover_counts(masks, n) == want, (masks, n)
+
+
+def test_cover_counts_refuses_what_a_byte_lane_table_cannot_hold():
+    # 2^16 lanes is the largest table; 255 blocks the fullest lane
+    assert capmod._cover_counts([(1 << 16) - 1], 16) == b"\x01" * (1 << 16)
+    assert capmod._cover_counts([0] * 255, 1) == bytes([255, 0])
+    lanes_before = capmod._lane_masks.cache_info().currsize
+    with pytest.raises(ValueError, match="17"):
+        capmod._cover_counts([], 17)
+    with pytest.raises(ValueError, match="256"):
+        capmod._cover_counts([0] * 256, 1)
+    assert capmod._lane_masks.cache_info().currsize == lanes_before
+    wide = capmod.Design(points=pg.enumerate_points(5)[:17], blocks=())
+    for check in (capmod.verify_witt, capmod.automorphism_order):
+        with pytest.raises(ValueError, match="17"):
+            check(wide)
+
+
 def _reference_verify_witt(design):
     """verify_witt with frozenset cover keys: the reference for the masks."""
     pts = design.points
@@ -160,7 +197,8 @@ def _reference_verify_witt(design):
 def _witt_reference_cases(model):
     """The Witt design at every base, seeded random 12-sets, and hand-made
     faults: a block dropped or repeated, a block point outside the design's
-    points, a repeated design point, a block of 7 points."""
+    points, a design point repeated once or filling three positions, designs
+    of 0 to 5 points, a block of 7 points."""
     designs = [_witt_design(model, pre) for pre in pg.enumerate_points(2)]
     rng = random.Random(11)
     designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(30)]
@@ -177,6 +215,9 @@ def _witt_reference_cases(model):
         capmod.Block(points=first.points | {outsider}, prime=first.prime), *rest
     )))
     designs.append(dataclasses.replace(witt, points=witt.points[:11] + witt.points[:1]))
+    # the first 5-subset holds 3 distinct points, no block's 4- or 5-subset
+    designs.append(dataclasses.replace(witt, points=witt.points[:1] * 3 + witt.points[1:10]))
+    designs += [dataclasses.replace(witt, points=witt.points[:n]) for n in range(6)]
     spare = min(set(witt.points) - first.points)
     designs.append(dataclasses.replace(witt, blocks=(
         capmod.Block(points=first.points | {spare}, prime=first.prime), *rest
@@ -396,6 +437,39 @@ def test_stabiliser_chain_generators_on_small_designs():
                     group.add(gh)
                     frontier.append(gh)
         assert len(group) == math.prod(orbit_lengths), d
+
+
+class _SetLookup(frozenset):
+    """A set read like the cover table: lookup[m] is whether m is a member."""
+    __getitem__ = frozenset.__contains__
+
+
+def _submask_walk(masks, n):
+    """The search's former `coverable`: every submask of every block, by the
+    walk sub -> (sub - 1) & bm, plus 0."""
+    coverable = {0}
+    for bm in masks:
+        sub = bm
+        while sub:
+            coverable.add(sub)
+            sub = (sub - 1) & bm
+    return _SetLookup(coverable)
+
+
+def test_stabiliser_chain_matches_the_submask_walk(model, base, monkeypatch):
+    # the same base, orbit lengths and generators, in the same order, when
+    # the search reads `coverable` from the set-based walk
+    designs = [_witt_design(model, pre) for pre in pg.enumerate_points(2)]
+    designs += [
+        capmod.blocks(sorted(cosets.twelve_set(model, base, quad).points))
+        for quad in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0))
+    ]
+    rng = random.Random(8)
+    designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(8)]
+    designs += _small_designs()
+    chains = [capmod._stabiliser_chain(d) for d in designs]
+    monkeypatch.setattr(capmod, "_cover_counts", _submask_walk)
+    assert [capmod._stabiliser_chain(d) for d in designs] == chains
 
 
 @pytest.mark.parametrize(

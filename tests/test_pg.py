@@ -116,6 +116,23 @@ def test_section_sizes_refuses_hyperplanes_wider_than_a_byte_lane():
     assert pg.enumerate_points.cache_info().currsize == points_before
 
 
+def test_sections_and_meetings_of_no_points():
+    # with no points every prime carries none, each with the empty section
+    primes = pg.enumerate_hyperplanes(5)
+    assert pg.sections(5, [], 0) == dict.fromkeys(primes, frozenset())
+    assert tuple(pg.sections(5, [], 0)) == pg.hyperplanes_meeting(5, [], 0) == primes
+    assert pg.sections(5, [], 1) == {} and pg.hyperplanes_meeting(5, [], 1) == ()
+
+
+@pytest.mark.parametrize("k", [-1, 256, 10**6])
+def test_hyperplanes_meeting_a_count_outside_a_byte(k):
+    # no byte lane holds such a count, so no hyperplane carries it
+    pts = pg.enumerate_points(2)
+    assert pg.hyperplanes_meeting(2, pts, 4) == pg.enumerate_hyperplanes(2)
+    assert pg.hyperplanes_meeting(2, pts, k) == ()
+    assert pg.sections(2, pts, k) == {}
+
+
 def _common_points(hs):
     """Reference: the points of the flat cut out by the hyperplanes, sorted."""
     f = pg.flat_from_dual(hs)
@@ -249,6 +266,21 @@ def test_flat_points_match_coefficient_combination_reference():
         pivots = [row.index(1) for row in f]
         for p, coeff in zip(got, pg.enumerate_points(len(f) - 1), strict=True):
             assert _normalised([p[j] for j in pivots]) == coeff
+
+
+def test_flat_points_of_bases_outside_rref():
+    # a basis not in rref can combine to a point that leads with 2, which
+    # must be scaled; dependent rows combine to the zero vector somewhere
+    rng = random.Random(21)
+    pts = pg.enumerate_points(5)
+    for k in range(1, 5):
+        f = pg.span(rng.sample(pts, k))
+        doubled = (gf3.vec_scale(2, f[0]),) + f[1:]
+        for basis in (doubled, tuple(reversed(f)), tuple(reversed(doubled))):
+            assert pg.flat_points(basis) == _flat_points_reference(basis)
+        assert set(pg.flat_points(doubled)) == set(pg.flat_points(f))
+        with pytest.raises(ValueError, match="zero vector"):
+            pg.flat_points(f + (gf3.vec_scale(2, f[0]),))
 
 
 def test_apply_identity_fixes_every_point():
