@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import gf3, pg
@@ -179,30 +178,31 @@ def _subset_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
 
 
+def _block_masks(design: Design) -> list[int]:
+    """Each block as an int mask, bit i for design.points[i], in block order.
+    A block point outside design.points is ignored: it cannot change which
+    subsets of the design's points the block contains.  A repeated design
+    point is refused (ValueError naming the first point seen twice)."""
+    bit: dict[Point, int] = {}
+    for i, p in enumerate(design.points):
+        if p in bit:
+            raise ValueError(f"design point {pg.format_point(p)} is repeated")
+        bit[p] = 1 << i
+    return [sum(bit.get(p, 0) for p in b.points) for b in design.blocks]
+
+
 def verify_witt(design: Design) -> WittReport:
     """Check the 5-(12,6,1) axioms by full enumeration of the 792 5-subsets.
 
-    Cover counts are read from `_cover_counts` over one bit per distinct
-    point of design.points; a block point outside them cannot change which
-    of those subsets the block contains.  Also reports the 4-subset covering
-    number, which must be constant.  The first violating 5-subset (with its
-    cover count) is recorded on failure.  A design on more than 16 distinct
-    points or with more than 255 blocks is refused (ValueError).
+    Cover counts are read from `_cover_counts` over the `_block_masks`.
+    Also reports the 4-subset covering number, which must be constant.  The
+    first violating 5-subset (with its cover count) is recorded on failure.
+    A design with a repeated point, on more than 16 points or with more
+    than 255 blocks is refused (ValueError).
     """
     pts = design.points
-    bit = {p: 1 << i for i, p in enumerate(dict.fromkeys(pts))}
-    table = _cover_counts([sum(bit.get(p, 0) for p in b.points) for b in design.blocks], len(bit))
-
-    def cover(k: int) -> bytes:
-        """The cover counts of the k-subsets of pts, in combinations order."""
-        if len(bit) == len(pts):
-            return bytes(map(table.__getitem__, _subset_masks(len(pts), k)))
-        # A repeated point: a subset counts as the set of its distinct
-        # points, and fewer than 4 of them are no block's 4- or 5-subset.
-        unions = (reduce(or_, c) for c in itertools.combinations(map(bit.get, pts), k))
-        return bytes(table[m] if m.bit_count() >= 4 else 0 for m in unions)
-
-    fives = cover(5)
+    table = _cover_counts(_block_masks(design), len(pts))
+    fives = bytes(map(table.__getitem__, _subset_masks(len(pts), 5)))
     first = len(fives) - len(fives.lstrip(b"\x01"))   # the first count other than 1
     violation = None
     quad_counts = set()
@@ -210,7 +210,7 @@ def verify_witt(design: Design) -> WittReport:
         sub = next(itertools.islice(itertools.combinations(pts, 5), first, None))
         violation = (sub, fives[first])
     else:
-        quad_counts = set(cover(4))
+        quad_counts = set(map(table.__getitem__, _subset_masks(len(pts), 4)))
     sizes_ok = all(len(b.points) == 6 for b in design.blocks)
     return WittReport(
         ok=len(pts) == 12 and sizes_ok and violation is None,
@@ -281,8 +281,9 @@ def automorphism_order(design: Design) -> int:
     order is the product of the orbit lengths.
 
     Whether mapped points still lie in a common block is read from the
-    `_cover_counts` table, so a design on more than 16 points or with more
-    than 255 distinct blocks is refused (ValueError).
+    `_cover_counts` table over the `_block_masks`, so a design with a
+    repeated point, on more than 16 points or with more than 255 distinct
+    blocks is refused (ValueError).
     """
     _, orbit_lengths, _ = _stabiliser_chain(design)
     return math.prod(orbit_lengths)
@@ -296,10 +297,8 @@ def _stabiliser_chain(
     generators holds (depth, perm) pairs in the order found, where perm[i]
     is the index of the image of design.points[i] and perm fixes base[:depth]
     pointwise but moves base[depth]."""
-    pts = design.points
-    n = len(pts)
-    point_pos = {p: i for i, p in enumerate(pts)}
-    block_masks = sorted({sum(1 << point_pos[p] for p in b.points) for b in design.blocks})
+    n = len(design.points)
+    block_masks = sorted(set(_block_masks(design)))
     blocks_of = tuple(
         tuple(bi for bi, bm in enumerate(block_masks) if bm >> i & 1) for i in range(n)
     )

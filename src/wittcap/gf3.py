@@ -118,14 +118,3 @@ def nullspace(m: Matrix) -> list[Vector]:
         basis.append(tuple(x))
     return basis
 
-
-def mat_inv(m: Matrix) -> Matrix:
-    """Inverse of a square matrix: the right block of rref([m | I])."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("mat_inv expects a square matrix")
-    eye = identity(n)
-    reduced, _ = rref(tuple(tuple(row) + e for row, e in zip(m, eye)))
-    if tuple(row[:n] for row in reduced) != eye:
-        raise ValueError("not invertible")
-    return tuple(row[n:] for row in reduced)

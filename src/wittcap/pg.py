@@ -183,19 +183,17 @@ def determines_collineations(points: tuple[Point, ...]) -> bool:
     fixing a basis taken from the points is diagonal over it, and a point
     with nonzero coordinates i and j over that basis forces entries i and j
     equal; so the answer is whether the supports of those coordinates link
-    every basis index into one component."""
-    basis: tuple[Point, ...] = ()
-    for p in points:
-        if gf3.rank(basis + (p,)) > len(basis):
-            basis += (p,)
-    if not points or len(basis) < len(points[0]):
+    every basis index into one component.  With the points as the columns of
+    one rref, the pivot columns are such a basis and column j holds point j's
+    coordinates over it."""
+    reduced, rank = gf3.rref(gf3.transpose(gf3.mat(points)))
+    if not points or rank < len(points[0]):
         return False
-    inv = gf3.mat_inv(basis)
-    supports = [{i for i, c in enumerate(gf3.vec_mat(p, inv)) if c} for p in points]
+    supports = [{i for i, c in enumerate(col) if c} for col in zip(*reduced)]
     linked = {0}
-    for _ in basis:   # each pass links at least one more index, or none ever
+    for _ in range(rank):   # each pass links at least one more index, or none ever
         linked = linked.union(*(s for s in supports if s & linked))
-    return len(linked) == len(basis)
+    return len(linked) == rank
 
 
 def collineation(rows: Iterable[Iterable[int]]) -> Collineation:

@@ -197,8 +197,7 @@ def _reference_verify_witt(design):
 def _witt_reference_cases(model):
     """The Witt design at every base, seeded random 12-sets, and hand-made
     faults: a block dropped or repeated, a block point outside the design's
-    points, a design point repeated once or filling three positions, designs
-    of 0 to 5 points, a block of 7 points."""
+    points, designs of 0 to 5 points, a block of 7 points."""
     designs = [_witt_design(model, pre) for pre in pg.enumerate_points(2)]
     rng = random.Random(11)
     designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(30)]
@@ -214,9 +213,6 @@ def _witt_reference_cases(model):
     designs.append(dataclasses.replace(witt, blocks=(
         capmod.Block(points=first.points | {outsider}, prime=first.prime), *rest
     )))
-    designs.append(dataclasses.replace(witt, points=witt.points[:11] + witt.points[:1]))
-    # the first 5-subset holds 3 distinct points, no block's 4- or 5-subset
-    designs.append(dataclasses.replace(witt, points=witt.points[:1] * 3 + witt.points[1:10]))
     designs += [dataclasses.replace(witt, points=witt.points[:n]) for n in range(6)]
     spare = min(set(witt.points) - first.points)
     designs.append(dataclasses.replace(witt, blocks=(
@@ -230,6 +226,22 @@ def test_verify_witt_matches_the_frozenset_reference(model):
     assert sum(_reference_verify_witt(d).ok for d in cases) == 13
     for d in cases:
         assert capmod.verify_witt(d) == _reference_verify_witt(d)
+
+
+def test_repeated_design_points_are_refused(model):
+    # both checks name the first point seen twice, reading the points in order
+    witt = _witt_design(model, (1, 0, 0))
+    p0, p1, p2 = witt.points[:3]
+    cases = [
+        (witt.points[:11] + witt.points[:1], p0),
+        (witt.points[:1] * 3 + witt.points[1:10], p0),
+        ((p0, p1, p2, p2, p1), p2),
+    ]
+    for points, first in cases:
+        design = dataclasses.replace(witt, points=points)
+        for check in (capmod.verify_witt, capmod.automorphism_order):
+            with pytest.raises(ValueError, match=f"point {pg.format_point(first)} is repeated"):
+                check(design)
 
 
 def test_dual_cap_size_and_literal_primes(dual_cap):
@@ -335,6 +347,19 @@ def test_automorphism_order_terminates_on_unstructured_sets():
         assert order == capmod.automorphism_order(moved_design) >= 1
 
 
+def _with_first_block(design, points):
+    first = design.blocks[0]
+    block = capmod.Block(points=frozenset(points), prime=first.prime)
+    return dataclasses.replace(design, blocks=(block, *design.blocks[1:]))
+
+
+def test_automorphism_order_ignores_a_block_widened_by_an_outside_point(model):
+    witt = _witt_design(model, (1, 0, 0))
+    outsider = next(p for p in pg.enumerate_points(5) if p not in witt.points)
+    widened = _with_first_block(witt, witt.blocks[0].points | {outsider})
+    assert capmod.automorphism_order(widened) == 95040
+
+
 def test_automorphism_order_on_blockless_set():
     # no blocks means no constraints: the full symmetric group
     design = capmod.Design(points=tuple(pg.enumerate_points(5)[:4]), blocks=())
@@ -400,6 +425,22 @@ def test_automorphism_order_matches_brute_force():
     assert capmod.automorphism_order(cases[0]) == 2
     for d in cases:
         assert capmod.automorphism_order(d) == _brute_force_order(d), d
+
+
+def test_automorphism_order_ignores_a_swapped_in_outside_point():
+    # a block that swaps one of its points for a point outside the design
+    # counts as the block of its remaining points (on the Witt design that
+    # search takes seconds, so small designs and rigid sets stand in)
+    designs = [d for d in _small_designs() if d.blocks and d.blocks[0].points]
+    rng = random.Random(5)
+    designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(3)]
+    for d in designs:
+        outsider = next(p for p in pg.enumerate_points(5) if p not in d.points)
+        kept = d.blocks[0].points - {min(d.blocks[0].points)}
+        order = capmod.automorphism_order(_with_first_block(d, kept))
+        assert capmod.automorphism_order(_with_first_block(d, kept | {outsider})) == order, d
+        if len(d.points) <= 7:
+            assert order == _brute_force_order(_with_first_block(d, kept)), d
 
 
 def _check_generators(design):

@@ -429,6 +429,14 @@ def test_induced_power_quadruples_are_exactly_the_sum_zero_subgroup(model, base)
     assert induced == subgroup
 
 
+def _inverse(m):
+    """The inverse of an invertible matrix: the right block of rref([m | I])."""
+    eye = gf3.identity(len(m))
+    reduced, _ = gf3.rref(tuple(row + e for row, e in zip(m, eye)))
+    assert tuple(row[:len(m)] for row in reduced) == eye, m
+    return tuple(row[len(m):] for row in reduced)
+
+
 def test_every_conic_permutation_is_realized_by_a_lift(model, base, system):
     # the stabilizer of the base preimage induces the full symmetric group on
     # the four conics; collect the 24 induced permutations constructively
@@ -441,7 +449,7 @@ def test_every_conic_permutation_is_realized_by_a_lift(model, base, system):
         back = gf3.transpose(m)
         perm = {}
         for k, line in pencil.items():
-            image_line = pg.canonical_point(gf3.vec_mat(line, gf3.mat_inv(back)))
+            image_line = pg.canonical_point(gf3.vec_mat(line, _inverse(back)))
             target = next(
                 kk for kk, l2 in pencil.items() if l2 == image_line
             )

@@ -110,31 +110,6 @@ def test_nullspace_is_annihilated():
             assert all(gf3.dot(row, v) == 0 for row in m)
 
 
-def test_mat_inv_examples():
-    assert gf3.mat_inv(gf3.identity(3)) == gf3.identity(3)
-    two = gf3.mat([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-    assert gf3.mat_inv(two) == two
-
-
-def test_mat_inv_random_round_trip():
-    rng = random.Random(3)
-    eye = gf3.identity(4)
-    found = 0
-    while found < 20:
-        m = gf3.mat([[rng.randrange(3) for _ in range(4)] for _ in range(4)])
-        if gf3.rank(m) < 4:
-            continue
-        found += 1
-        inv = gf3.mat_inv(m)
-        assert gf3.mat_mul(m, inv) == eye
-        assert gf3.mat_mul(inv, m) == eye
-
-
-def test_mat_inv_singular():
-    with pytest.raises(ValueError, match="not invertible"):
-        gf3.mat_inv(gf3.mat([(1, 2), (2, 1)]))
-
-
 def _mat_mul_reference(a, b):
     """Triple-loop product, independent of gf3's row/column iteration."""
     out = []

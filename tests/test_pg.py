@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from wittcap import gf3, pg
+from wittcap import cosets, gf3, pg
+from wittcap.veronese import veronese_map
 
 # the space elation used throughout: adds the last coordinate to the first
 MU = pg.collineation(
@@ -309,7 +310,15 @@ def test_compose_and_inverse():
             continue
         found += 1
         c = pg.canonical_collineation(m)
-        assert pg.compose(c, pg.canonical_collineation(gf3.mat_inv(c))) == eye
+        assert pg.compose(c, pg.canonical_collineation(_inverse(c))) == eye
+
+
+def _inverse(m):
+    """The inverse of an invertible matrix: the right block of rref([m | I])."""
+    eye = gf3.identity(len(m))
+    reduced, _ = gf3.rref(tuple(row + e for row, e in zip(m, eye)))
+    assert tuple(row[:len(m)] for row in reduced) == eye, m
+    return tuple(row[len(m):] for row in reduced)
 
 
 def _pgl33():
@@ -344,6 +353,66 @@ def test_determines_collineations_matches_brute_force_over_pgl33():
             assert pg.determines_collineations(subset) == only_identity, subset
             answers.add(only_identity)
     assert answers == {True, False}
+
+
+def _greedy_determines_collineations(points):
+    """determines_collineations by a basis picked point by point with
+    gf3.rank and each point's coordinates read through the basis inverse."""
+    basis = ()
+    for p in points:
+        if gf3.rank(basis + (p,)) > len(basis):
+            basis += (p,)
+    if not points or len(basis) < len(points[0]):
+        return False
+    inv = _inverse(basis)
+    supports = [{i for i, c in enumerate(gf3.vec_mat(p, inv)) if c} for p in points]
+    linked = {0}
+    for _ in basis:
+        linked = linked.union(*(s for s in supports if s & linked))
+    return len(linked) == len(basis)
+
+
+def _seeded_point_sets(n, seed, count):
+    """Tuples of 0 to 20 points of PG(n,3): either drawn with repeats, or a
+    random basis topped up with combinations inside the two parts of a split
+    of it (which span the space but may leave the parts unlinked, and often
+    repeat a point), shuffled."""
+    rng = random.Random(seed)
+    pts = pg.enumerate_points(n)
+    for _ in range(count):
+        k = rng.randint(0, 20)
+        if rng.random() < 0.5:
+            yield tuple(rng.choice(pts) for _ in range(k))
+            continue
+        while gf3.rank(m := tuple(rng.choice(pts) for _ in range(n + 1))) <= n:
+            pass
+        cut = rng.randint(1, n + 1)
+        combos = list(m)
+        while len(combos) < k:
+            part = rng.choice((range(cut), range(cut, n + 1)))   # the second may be empty
+            coeffs = [rng.randrange(3) if i in part else 0 for i in range(n + 1)]
+            if any(coeffs):
+                combos.append(pg.canonical_point(gf3.vec_mat(coeffs, m)))
+        rng.shuffle(combos)
+        yield tuple(combos)
+
+
+def test_determines_collineations_matches_the_greedy_basis(model):
+    cases = [*_seeded_point_sets(2, 16, 200), *_seeded_point_sets(5, 17, 200)]
+    for pre in pg.enumerate_points(2):
+        layers = cosets.conic_layers(model, veronese_map(pre))
+        cases.append(tuple(sorted(set().union(*layers.plane_points.values()))))
+    cases.append(tuple(gf3.identity(6)) + ((1,) * 6,))
+    answers = [pg.determines_collineations(s) for s in cases]
+    assert answers == [_greedy_determines_collineations(s) for s in cases]
+    assert all(answers[-14:])
+    assert {True, False} <= set(answers[:200]) and {True, False} <= set(answers[200:400])
+
+
+def test_determines_collineations_refuses_points_of_different_lengths():
+    for points in (((1, 0, 0), (0, 1)), ((0, 1), (1, 0, 0))):
+        with pytest.raises(ValueError, match="ragged"):
+            pg.determines_collineations(points)
 
 
 def test_coordinate_points_do_not_determine_collineations():
