@@ -49,17 +49,16 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("inner dimensions differ")
-    cols = transpose(b)
-    return tuple(tuple(sum(map(mul, row, col)) % 3 for col in cols) for row in a)
+    return tuple([vec_mat(row, b) for row in a])
 
 
 def vec_mat(x: Sequence[int], m: Matrix) -> Vector:
     """Row-vector action x * m (the convention used project-wide)."""
     if len(x) != len(m):
         raise ValueError("inner dimensions differ")
-    return tuple(sum(map(mul, x, col)) % 3 for col in zip(*m))
+    # lists, not generators: tuple() grows a generator's tuple by realloc,
+    # and each freed result would then park on the tuple free list
+    return tuple([sum(map(mul, x, col)) % 3 for col in zip(*m)])
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

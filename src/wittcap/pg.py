@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -26,12 +25,16 @@ Flat = Matrix          # nonzero rref rows; projective dimension = len - 1
 Collineation = Matrix
 
 
+def _lead_one(v: Vector) -> Point:
+    """v (entries already reduced mod 3) scaled so its first nonzero entry is 1."""
+    for x in v:
+        if x:
+            return v if x == 1 else tuple([(2 * y) % 3 for y in v])
+    raise ValueError("zero vector has no projective point")
+
+
 def canonical_point(v: Sequence[int]) -> Point:
-    w = gf3.vec(v)
-    lead = next((x for x in w if x), None)
-    if lead is None:
-        raise ValueError("zero vector has no projective point")
-    return w if lead == 1 else gf3.vec_scale(2, w)
+    return _lead_one(gf3.vec(v))
 
 
 def format_point(p: Sequence[int]) -> str:
@@ -150,19 +153,7 @@ def flat_points(f: Flat) -> tuple[Point, ...]:
     i-th point combines the rref rows with coefficients enumerate_points(k-1)[i],
     so zip(flat_points(f), enumerate_points(k-1)) pairs points with their
     coordinates in the flat."""
-    cols = tuple(zip(*f))
-    # lists, not generators: tuple() grows a generator's tuple by realloc,
-    # and each freed result would then park on the tuple free list
-    out = []
-    for coeff in enumerate_points(len(f) - 1):
-        v = tuple([sum(map(mul, coeff, col)) % 3 for col in cols])
-        for x in v:
-            if x:
-                break
-        else:
-            raise ValueError("zero vector has no projective point")
-        out.append(v if x == 1 else tuple([(2 * y) % 3 for y in v]))
-    return tuple(out)
+    return tuple([_lead_one(gf3.vec_mat(coeff, f)) for coeff in enumerate_points(len(f) - 1)])
 
 
 def flat_from_dual(constraints: Iterable[Sequence[int]]) -> Flat:
@@ -204,11 +195,7 @@ def collineation(rows: Iterable[Iterable[int]]) -> Collineation:
 
 
 def apply_collineation(c: Collineation, p: Sequence[int]) -> Point:
-    v = gf3.vec_mat(p, c)
-    for x in v:
-        if x:
-            return v if x == 1 else tuple((2 * y) % 3 for y in v)
-    raise ValueError("zero vector has no projective point")
+    return _lead_one(gf3.vec_mat(p, c))
 
 
 def compose(a: Collineation, b: Collineation) -> Collineation:

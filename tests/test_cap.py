@@ -333,6 +333,24 @@ def test_automorphism_order_is_95040(model, pre):
     assert capmod.automorphism_order(_witt_design(model, pre)) == 95040
 
 
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_automorphism_orders_of_m12_subgroups(model, pre):
+    # orders from the subgroup structure of M12 (ATLAS of Finite Groups), not
+    # from the search: dropping one block leaves its hexad stabiliser S6, and
+    # the 66 blocks through a point, or the 66 avoiding it, leave that
+    # point's stabiliser M11
+    witt = _witt_design(model, pre)
+    for i in (0, 65, 131):
+        rest = witt.blocks[:i] + witt.blocks[i + 1:]
+        assert capmod.automorphism_order(dataclasses.replace(witt, blocks=rest)) == 720, i
+    for p in (witt.points[0], witt.points[7]):
+        for through in (True, False):
+            kept = tuple(b for b in witt.blocks if (p in b.points) == through)
+            assert len(kept) == 66
+            order = capmod.automorphism_order(dataclasses.replace(witt, blocks=kept))
+            assert order == 7920, (p, through)
+
+
 def test_automorphism_order_terminates_on_unstructured_sets():
     # random 12-sets have little or no symmetry; the order is an invariant,
     # so a copy moved by a random collineation must give the same one

@@ -162,9 +162,9 @@ def test_dot_matches_triple_loop_reference():
 def test_products_reject_mismatched_inner_dimension(delta):
     rng = random.Random(12)
     a, b = _random_mat(rng, 3, 4), _random_mat(rng, 4 + delta, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inner dimensions differ"):
         gf3.mat_mul(a, b)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inner dimensions differ"):
         gf3.vec_mat(a[0], b)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector lengths differ"):
         gf3.dot(a[0], gf3.transpose(b)[0])

@@ -300,6 +300,21 @@ def test_collineation_rejects_singular():
         pg.collineation(((1, 1), (1, 1)))
 
 
+def test_every_route_to_a_point_refuses_the_zero_vector():
+    # canonical points, collineation images and flat points scale through one
+    # normaliser, so each refuses the zero vector with the same message
+    singular = gf3.mat(((1, 1, 0), (1, 1, 0), (0, 0, 1)))   # kernel holds (1,2,0)
+    dependent = gf3.mat(((1, 0, 1), (0, 1, 1), (1, 1, 2)))  # (1,1,2) combines to zero
+    with pytest.raises(ValueError, match="zero vector"):
+        pg.canonical_point((0, 0, 0))
+    with pytest.raises(ValueError, match="zero vector"):
+        pg.canonical_point((3, 0, 6))
+    with pytest.raises(ValueError, match="zero vector"):
+        pg.apply_collineation(singular, (1, 2, 0))
+    with pytest.raises(ValueError, match="zero vector"):
+        pg.flat_points(dependent)
+
+
 def test_compose_and_inverse():
     rng = random.Random(8)
     eye = gf3.identity(6)

@@ -31,6 +31,22 @@ def test_only_pg_reads_the_incidence_masks():
     assert not offenders, "hyperplane_point_masks named in " + ", ".join(offenders)
 
 
+def test_only_gf3_imports_the_product():
+    # the GF(3) product lives in gf3; other modules multiply through gf3.vec_mat
+    src = Path(wittcap.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "gf3.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "operator"
+            and any(alias.name == "mul" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "mul"
+            and isinstance(node.value, ast.Name) and node.value.id == "operator")
+    ]
+    assert not offenders, "operator.mul imported in " + ", ".join(offenders)
+
+
 def test_verification_is_never_cached():
     # caches hold geometry per base, never a verdict per set: a cached check
     # would pass a second time without looking
