@@ -6,6 +6,6 @@ emits the extended ternary Golay code, and classifies the 81 layer
 replacement twelve-sets.
 """
 
-from . import cap, cosets, golay, gf3, pg, veronese
+from . import cap, cosets, design, golay, gf3, pg, veronese
 
 __version__ = "0.1.0"

@@ -86,12 +86,17 @@ def hyperplane_point_masks(n: int) -> Mapping[Hyperplane, int]:
 
 def section_sizes(n: int, pts: Iterable[Point]) -> bytes:
     """|h and pts| for every hyperplane, in enumeration order, one byte each.
-    The points must be canonical; a repeated point counts once.  Needs n <= 5:
-    a byte must hold a whole hyperplane's (3^n - 1)/2 points without carrying."""
+    A repeated point counts once; a point that is not canonical in PG(n,3)
+    raises ValueError.  Needs n <= 5: a byte must hold a whole hyperplane's
+    (3^n - 1)/2 points without carrying."""
     if (3**n - 1) // 2 > 255:
         raise ValueError(f"PG({n},3) hyperplanes hold more than 255 points")
     rows = hyperplane_point_masks(n)
-    return sum(rows[p] for p in set(pts)).to_bytes(len(rows), "little")
+    try:
+        return sum(rows[p] for p in set(pts)).to_bytes(len(rows), "little")
+    except KeyError as e:
+        bad = format_point(e.args[0])
+        raise ValueError(f"{bad} is not a canonical point of PG({n},3)") from None
 
 
 # bytes(255) + b"\x01" + bytes(255): slice [255 - k:511 - k] is the 256-byte

@@ -71,13 +71,6 @@ class VeroneseModel:
     def conics_through(self, p: Point) -> tuple[Conic, ...]:
         return tuple(c for c in self.conics if p in c.points)
 
-    def conic_through(self, p: Point, q: Point) -> Conic:
-        """The unique conic through two distinct surface points."""
-        for c in self.conics:
-            if p in c.points and q in c.points:
-                return c
-        raise ValueError("no conic through the given points")
-
 
 @lru_cache(maxsize=None)
 def build_model() -> VeroneseModel:

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -129,37 +130,7 @@ def test_verify_witt_fails_with_witness_on_perturbed_set(model, cap):
     assert report.quad_cover_value is None
 
 
-def _cover_count_cases(design):
-    """Seeded block systems on at most 8 points, with empty, repeated and
-    nested blocks, then the Witt design with one bit per point."""
-    rng = random.Random(23)
-    cases = []
-    for n in range(9):
-        for _ in range(6):
-            masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))]
-            if masks:
-                masks += [0, masks[0], masks[-1] & rng.getrandbits(n)]
-            cases.append((masks, n))
-    witt = [sum(1 << design.points.index(p) for p in b.points) for b in design.blocks]
-    return cases + [(witt, 12)]
-
-
-def test_cover_counts_match_brute_force(design):
-    for masks, n in _cover_count_cases(design):
-        want = bytes(sum(b & m == m for b in masks) for m in range(1 << n))
-        assert capmod._cover_counts(masks, n) == want, (masks, n)
-
-
-def test_cover_counts_refuses_what_a_byte_lane_table_cannot_hold():
-    # 2^16 lanes is the largest table; 255 blocks the fullest lane
-    assert capmod._cover_counts([(1 << 16) - 1], 16) == b"\x01" * (1 << 16)
-    assert capmod._cover_counts([0] * 255, 1) == bytes([255, 0])
-    lanes_before = capmod._lane_masks.cache_info().currsize
-    with pytest.raises(ValueError, match="17"):
-        capmod._cover_counts([], 17)
-    with pytest.raises(ValueError, match="256"):
-        capmod._cover_counts([0] * 256, 1)
-    assert capmod._lane_masks.cache_info().currsize == lanes_before
+def test_designs_beyond_the_cover_table_are_refused():
     wide = capmod.Design(points=pg.enumerate_points(5)[:17], blocks=())
     for check in (capmod.verify_witt, capmod.automorphism_order):
         with pytest.raises(ValueError, match="17"):
@@ -244,6 +215,19 @@ def test_repeated_design_points_are_refused(model):
                 check(design)
 
 
+def test_prime_scans_refuse_a_point_outside_pg5(cap):
+    eleven = sorted(cap.points)[:11]
+    scans = [
+        ("2:0:0:0:0:0", lambda: capmod.blocks([(2, 0, 0, 0, 0, 0), *eleven])),
+        ("1:0:0", lambda: capmod.missed_primes([(1, 0, 0)])),
+        ("0:2:1:0:0:0", lambda: pg.hyperplanes_meeting(5, [(0, 2, 1, 0, 0, 0)], 1)),
+    ]
+    for text, scan in scans:
+        message = f"{text} is not a canonical point of PG(5,3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan()
+
+
 def test_dual_cap_size_and_literal_primes(dual_cap):
     assert len(dual_cap.primes) == 12
     for raw in EXPECTED_MISSING_PRIME_LITERALS:
@@ -304,6 +288,12 @@ def test_dual_space_structure_is_again_a_witt_design(cap):
 
 def test_vector_identity_check():
     assert capmod.vector_identity_check()
+
+
+def test_vector_identity_check_fails_on_reordered_monomials(monkeypatch):
+    # reversed, the monomials give v_0 + v_1 + v_2 + v_inf = (1,0,0,0,0,2)
+    monkeypatch.setattr(capmod, "MONOMIALS", capmod.MONOMIALS[::-1])
+    assert not capmod.vector_identity_check()
 
 
 def test_vector_identity_hand_value():
@@ -408,48 +398,27 @@ def _brute_force_order(design):
     return count
 
 
-def _small_designs():
-    """Designs on at most 7 points: hand-picked edge cases, then seeded
-    random block systems with empty, repeated and nested blocks."""
-    pts = pg.enumerate_points(5)[:7]
-    p0, p1, p2 = pts[:3]
-
-    def design(points, *blocks):
-        return capmod.Design(
-            points=tuple(points),
-            blocks=tuple(capmod.Block(points=frozenset(b), prime=pts[0]) for b in blocks),
-        )
-
-    cases = [
-        # a map sending {p0} into the larger block {p0,p1,p2} is no automorphism
-        design(pts[:3], {p0}, {p0, p1, p2}),
-        design(pts[:5]),
-        design(pts[:4], set()),
-        design(pts[:5], {p0, p1}, {p0, p1}, {p2}),
-        design(pts[:6], {p0, p1, p2}, {p0}, set(), {p1, p2}),
-    ]
-    rng = random.Random(4)
-    for i in range(120):
-        n = 7 if i % 8 == 0 else rng.randint(1, 6)
-        blocks = [set(rng.sample(pts[:n], rng.randint(0, n))) for _ in range(rng.randint(0, 5))]
-        if blocks and rng.random() < 0.3:
-            blocks.append(blocks[0])
-        cases.append(design(pts[:n], *blocks))
-    return cases
+def _as_design(masks, n):
+    """A block system on n points, bit i for the i-th point of PG(5,3)."""
+    pts = pg.enumerate_points(5)[:n]
+    return capmod.Design(points=pts, blocks=tuple(
+        capmod.Block(points=frozenset(p for i, p in enumerate(pts) if m >> i & 1), prime=pts[0])
+        for m in masks
+    ))
 
 
-def test_automorphism_order_matches_brute_force():
-    cases = _small_designs()
+def test_automorphism_order_matches_brute_force(small_block_systems):
+    cases = [_as_design(masks, n) for masks, n in small_block_systems]
     assert capmod.automorphism_order(cases[0]) == 2
     for d in cases:
         assert capmod.automorphism_order(d) == _brute_force_order(d), d
 
 
-def test_automorphism_order_ignores_a_swapped_in_outside_point():
+def test_automorphism_order_ignores_a_swapped_in_outside_point(small_block_systems):
     # a block that swaps one of its points for a point outside the design
     # counts as the block of its remaining points (on the Witt design that
     # search takes seconds, so small designs and rigid sets stand in)
-    designs = [d for d in _small_designs() if d.blocks and d.blocks[0].points]
+    designs = [_as_design(masks, n) for masks, n in small_block_systems if masks and masks[0]]
     rng = random.Random(5)
     designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(3)]
     for d in designs:
@@ -461,74 +430,11 @@ def test_automorphism_order_ignores_a_swapped_in_outside_point():
             assert order == _brute_force_order(_with_first_block(d, kept)), d
 
 
-def _check_generators(design):
-    base, orbit_lengths, gens = capmod._stabiliser_chain(design)
-    n = len(design.points)
-    assert sorted(base) == list(range(n)) and len(orbit_lengths) == n
-    masks = {sum(1 << design.points.index(p) for p in b.points) for b in design.blocks}
-    for depth, g in gens:
-        assert sorted(g) == list(range(n))
-        assert {sum(1 << g[i] for i in range(n) if m >> i & 1) for m in masks} == masks
-        assert all(g[b] == b for b in base[:depth]), (depth, g)
-        assert g[base[depth]] != base[depth], (depth, g)
-    return orbit_lengths, [g for _, g in gens]
-
-
 @pytest.mark.parametrize("pre", [(1, 0, 0), (0, 1, 2), (1, 2, 2)], ids=pg.format_point)
-def test_stabiliser_chain_generators_on_the_witt_design(model, pre):
+def test_stabiliser_chain_generators_on_the_witt_design(model, pre, checked_chain):
     # sharply 5-transitive: orbits 12, 11, 10, 9, 8, then the identity
-    orbit_lengths, _ = _check_generators(_witt_design(model, pre))
+    orbit_lengths, _ = checked_chain(capmod._block_masks(_witt_design(model, pre)), 12)
     assert orbit_lengths == (12, 11, 10, 9, 8, 1, 1, 1, 1, 1, 1, 1)
-
-
-def test_stabiliser_chain_generators_on_small_designs():
-    # the generators are a strong generating set: they generate a group of
-    # exactly the order the orbit lengths give
-    for d in _small_designs():
-        orbit_lengths, gens = _check_generators(d)
-        group = {tuple(range(len(d.points)))}
-        frontier = list(group)
-        while frontier:
-            h = frontier.pop()
-            for g in gens:
-                gh = tuple(g[i] for i in h)
-                if gh not in group:
-                    group.add(gh)
-                    frontier.append(gh)
-        assert len(group) == math.prod(orbit_lengths), d
-
-
-class _SetLookup(frozenset):
-    """A set read like the cover table: lookup[m] is whether m is a member."""
-    __getitem__ = frozenset.__contains__
-
-
-def _submask_walk(masks, n):
-    """The search's former `coverable`: every submask of every block, by the
-    walk sub -> (sub - 1) & bm, plus 0."""
-    coverable = {0}
-    for bm in masks:
-        sub = bm
-        while sub:
-            coverable.add(sub)
-            sub = (sub - 1) & bm
-    return _SetLookup(coverable)
-
-
-def test_stabiliser_chain_matches_the_submask_walk(model, base, monkeypatch):
-    # the same base, orbit lengths and generators, in the same order, when
-    # the search reads `coverable` from the set-based walk
-    designs = [_witt_design(model, pre) for pre in pg.enumerate_points(2)]
-    designs += [
-        capmod.blocks(sorted(cosets.twelve_set(model, base, quad).points))
-        for quad in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0))
-    ]
-    rng = random.Random(8)
-    designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(8)]
-    designs += _small_designs()
-    chains = [capmod._stabiliser_chain(d) for d in designs]
-    monkeypatch.setattr(capmod, "_cover_counts", _submask_walk)
-    assert [capmod._stabiliser_chain(d) for d in designs] == chains
 
 
 @pytest.mark.parametrize(
@@ -542,3 +448,15 @@ def test_automorphism_order_of_layer_set_representatives(model, base, quad, orde
     moved = [pg.apply_collineation(m, p) for p in pts]
     assert capmod.automorphism_order(capmod.blocks(pts)) == order
     assert capmod.automorphism_order(capmod.blocks(moved)) == order
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_every_cap_class_layer_set_is_a_witt_design(model, pre):
+    # the 27 quadruples of sum 1 give caps like the one of internal points
+    base = veronese_map(pre)
+    quads = [q for q in itertools.product(range(3), repeat=4) if sum(q) % 3 == 1]
+    assert len(quads) == 27
+    for quad in quads:
+        design = capmod.blocks(cosets.twelve_set(model, base, quad).points)
+        assert capmod.verify_witt(design).ok, quad
+        assert capmod.automorphism_order(design) == 95040, quad

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import wittcap
@@ -47,11 +48,26 @@ def test_only_gf3_imports_the_product():
     assert not offenders, "operator.mul imported in " + ", ".join(offenders)
 
 
+def test_design_imports_only_the_standard_library():
+    # the design kernels re-check counts without the PG(5,3) arithmetic; a
+    # relative import reads as a name starting with "."
+    tree = ast.parse((Path(wittcap.__file__).parent / "design.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    offenders = [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+    assert modules and not offenders, "non-stdlib import in design.py: " + ", ".join(offenders)
+
+
 def test_verification_is_never_cached():
     # caches hold geometry per base, never a verdict per set: a cached check
     # would pass a second time without looking
     checks = {"hyperplane_profile", "classify", "group_closure", "verify_orbit_equivalence",
-              "project_from_base", "analyze_exotic", "verify_witt", "automorphism_order"}
+              "project_from_base", "analyze_exotic", "verify_witt", "automorphism_order",
+              "stabiliser_chain"}
     src = Path(wittcap.__file__).parent
 
     def cache_name(decorator):
@@ -75,7 +91,7 @@ def test_verification_is_never_cached():
 
 
 def test_every_public_function_has_a_reader():
-    # a public function that neither the library nor the bench reads is dead
+    # a public function or method that neither the library nor the bench reads is dead
     # code; the exempt ones are references kept for a check or a later use,
     # and an exemption is stale once its name is gone or has gained a reader
     exempt = {
@@ -92,10 +108,12 @@ def test_every_public_function_has_a_reader():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+    # module-level functions and the methods of module-level classes
     public = [
         (path.name, node)
         for path in sorted(src.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
+        for top in ast.parse(path.read_text()).body
+        for node in (top.body if isinstance(top, ast.ClassDef) else [top])
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     unread = [
