@@ -132,8 +132,13 @@ def missed_primes(cap: CapSet | Iterable[Point]) -> tuple[Hyperplane, ...]:
 
 
 def is_cap(points: Iterable[Point]) -> bool:
-    """No three of the points collinear."""
+    """No three of the points collinear.  A point that is not canonical
+    raises ValueError: as written, it would never be found on a line."""
     pts = sorted(points)
+    bad = next((p for p in pts if pg.canonical_point(p) != p), None)
+    if bad is not None:
+        space = f"PG({len(bad) - 1},3)"
+        raise ValueError(f"{pg.format_point(bad)} is not a canonical point of {space}")
     for a, b, c in itertools.combinations(pts, 3):
         if c in pg.line_through(a, b):
             return False

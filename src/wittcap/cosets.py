@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -82,6 +83,9 @@ class LayerSystem:
     plane_points: Mapping[int, tuple[Point, ...]]   # pg.flat_points of each conic plane
     space_elations: Mapping[int, Collineation]      # by label
     layer_elations: Mapping[int, Mapping[Point, Point]]   # by label, on its plane
+    # by label: the images of plane_points under the 0th, 1st and 2nd power
+    # of the layer elation
+    elation_powers: Mapping[int, tuple[tuple[Point, ...], ...]]
     profiles: Mapping[int, Mapping[int, int]]       # hyperplane profile by class
     target: Hyperplane                              # first prime off the base
 
@@ -190,9 +194,11 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         for k in LABEL_ORDER
     }
     layer_elations: dict[int, Mapping[Point, Point]] = {}
+    elation_powers: dict[int, tuple[tuple[Point, ...], ...]] = {}
     for k in LABEL_ORDER:
         mu = space_elations[(k - 1) % len(LABEL_ORDER)]
-        perm = {p: pg.apply_collineation(mu, p) for p in plane_points[k]}
+        images = pg.apply_collineation(mu, plane_points[k])
+        perm = dict(zip(plane_points[k], images))
         for j in (0, 1, 2):
             if {perm[p] for p in layers[(k, j)]} != layers[(k, (j + 1) % 3)]:
                 raise ValueError(
@@ -200,6 +206,7 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
                     f"layer {j} onto layer {(j + 1) % 3}"
                 )
         layer_elations[k] = MappingProxyType(perm)
+        elation_powers[k] = (plane_points[k], images, tuple(map(perm.__getitem__, images)))
     profiles: dict[int, Mapping[int, int]] = {}
     for cls in (0, 1, 2):
         rep = (cls, 0, 0, 0)
@@ -213,6 +220,7 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         plane_points=MappingProxyType(plane_points),
         space_elations=MappingProxyType(space_elations),
         layer_elations=MappingProxyType(layer_elations),
+        elation_powers=MappingProxyType(elation_powers),
         profiles=MappingProxyType(profiles),
         target=pg.hyperplanes_meeting(5, [base], 0)[0],
     )
@@ -228,16 +236,11 @@ def induced_layer_powers(
     system = conic_layers(model, base)
     out = []
     for k in LABEL_ORDER:
-        kappa = system.layer_elations[k]
-        power = system.plane_points[k]
-        image = tuple(map(act.__getitem__, power))
-        for e in (0, 1, 2):
-            if image == power:
-                out.append(e)
-                break
-            power = tuple(kappa[p] for p in power)
-        else:
+        powers = system.elation_powers[k]
+        image = tuple(map(act.__getitem__, powers[0]))
+        if image not in powers:
             return None
+        out.append(powers.index(image))
     return tuple(out)
 
 
@@ -249,7 +252,7 @@ def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
     """Union of one layer per conic, as dictated by the quadruple."""
     if len(quad) != len(LABEL_ORDER):
         raise ValueError(f"quadruple {tuple(quad)} has {len(quad)} entries, not 4")
-    quad = tuple(q % 3 for q in quad)
+    quad = tuple([q % 3 for q in quad])
     points = _layer_union(conic_layers(model, base).layers, quad)
     return TwelveSet(points=points, quadruple=quad)
 
@@ -257,14 +260,21 @@ def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
 def _layer_union(
     layers: Mapping[tuple[int, int], frozenset[Point]], quad: Quadruple
 ) -> frozenset[Point]:
-    return frozenset().union(*(layers[(k, j)] for k, j in zip(LABEL_ORDER, quad)))
+    a, b, c, d = quad       # layer indices in LABEL_ORDER, which is (0, 1, 2, 3)
+    return layers[(0, a)] | layers[(1, b)] | layers[(2, c)] | layers[(3, d)]
 
 
 def hyperplane_profile(s: TwelveSet) -> dict[int, int]:
     """Histogram of |prime and set| over all 364 primes of PG(5,3), in
     ascending order of the section size."""
     sizes = pg.section_sizes(5, s.points)
-    return {k: n for k in range(len(s.points) + 1) if (n := sizes.count(k))}
+    profile, left, k = {}, len(sizes), 0
+    while left:             # stop once all 364 primes are counted
+        if n := sizes.count(k):
+            profile[k] = n
+            left -= n
+        k += 1
+    return profile
 
 
 def classify(model: VeroneseModel, base: Point, s: TwelveSet) -> str:
@@ -294,7 +304,7 @@ def group_closure(
     gens = []
     for g in generators:
         g = pg.canonical_collineation(g)
-        images = [pg.apply_collineation(g, p) for p in points]
+        images = pg.apply_collineation(g, points)
         off = next((i for i, q in enumerate(images) if q not in index), None)
         if off is not None:
             raise ValueError(
@@ -306,12 +316,15 @@ def group_closure(
         raise ValueError("a collineation other than the identity fixes every point")
     found = {tuple(range(len(points))): gf3.identity(len(points[0])),
              **{act: g for g, act in gens}}
-    frontier = list(found.items())
+    # one point determines collineations only in PG(0,3), whose group is
+    # trivial; there itemgetter would return an int, not an action tuple
+    frontier = list(found.items()) if len(points) > 1 else []
     while frontier:
         fresh = []
         for act_g, g in frontier:
+            step = itemgetter(*act_g)
             for h, act_h in gens:
-                act = tuple(map(act_h.__getitem__, act_g))
+                act = step(act_h)
                 if act not in found:
                     found[act] = pg.compose(g, h)
                     fresh.append((act, found[act]))

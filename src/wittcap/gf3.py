@@ -2,17 +2,22 @@
 
 Vectors are tuples of ints in {0,1,2}, matrices are tuples of row tuples.
 Everything is an immutable value; every operation returns a new value.
-Scale is tiny (nothing bigger than 6x12), so plain ints mod 3 beat any
-table or array machinery.
+Scale is tiny (nothing wider than 12 columns), so plain ints mod 3 beat any
+array machinery; mat_mul packs a whole column into one int, so a product
+over hundreds of rows costs a few big-int sums.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+
+_DIGITS = b"\x00\x01\x02"
+_MOD3 = bytes(i % 3 for i in range(256))   # translate table: byte -> byte mod 3
 
 
 def vec(entries: Iterable[int]) -> Vector:
@@ -49,16 +54,27 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple([vec_mat(row, b) for row in a])
-
-
-def vec_mat(x: Sequence[int], m: Matrix) -> Vector:
-    """Row-vector action x * m (the convention used project-wide)."""
-    if len(x) != len(m):
+    """a * b for entries 0, 1, 2, on byte lanes: column i of a is one int with
+    a byte per row, column j of the product is the sum of b[i][j] times
+    column i, and one translate reduces every byte mod 3.  A byte then holds
+    at most 4k for inner dimension k, so k > 63 is refused."""
+    k = len(b)
+    if set(map(len, a)) - {k}:
         raise ValueError("inner dimensions differ")
-    # lists, not generators: tuple() grows a generator's tuple by realloc,
-    # and each freed result would then park on the tuple free list
-    return tuple([sum(map(mul, x, col)) % 3 for col in zip(*m)])
+    if k > 63:
+        raise ValueError(f"inner dimension {k} overflows a byte lane (at most 63)")
+    try:
+        lanes = bytes(chain.from_iterable(a))
+        entries = lanes + bytes(chain.from_iterable(b))
+    except ValueError:      # bytes() takes only 0..255
+        entries = b"\xff"
+    if entries.translate(None, _DIGITS):
+        raise ValueError("matrix entries must be 0, 1 or 2")
+    n = len(a)
+    columns = [int.from_bytes(lanes[i::k], "little") for i in range(k)]
+    sums = [sum(map(mul, col, columns)).to_bytes(n, "little") for col in zip(*b)]
+    flat = b"".join(sums).translate(_MOD3)
+    return tuple([tuple(flat[r::n]) for r in range(n)])
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

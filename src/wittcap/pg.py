@@ -92,8 +92,10 @@ def section_sizes(n: int, pts: Iterable[Point]) -> bytes:
     if (3**n - 1) // 2 > 255:
         raise ValueError(f"PG({n},3) hyperplanes hold more than 255 points")
     rows = hyperplane_point_masks(n)
+    if not isinstance(pts, (set, frozenset)):
+        pts = set(pts)
     try:
-        return sum(rows[p] for p in set(pts)).to_bytes(len(rows), "little")
+        return sum(map(rows.__getitem__, pts)).to_bytes(len(rows), "little")
     except KeyError as e:
         bad = format_point(e.args[0])
         raise ValueError(f"{bad} is not a canonical point of PG({n},3)") from None
@@ -158,7 +160,7 @@ def flat_points(f: Flat) -> tuple[Point, ...]:
     i-th point combines the rref rows with coefficients enumerate_points(k-1)[i],
     so zip(flat_points(f), enumerate_points(k-1)) pairs points with their
     coordinates in the flat."""
-    return tuple([_lead_one(gf3.vec_mat(coeff, f)) for coeff in enumerate_points(len(f) - 1)])
+    return tuple(map(_lead_one, gf3.mat_mul(enumerate_points(len(f) - 1), f)))
 
 
 def flat_from_dual(constraints: Iterable[Sequence[int]]) -> Flat:
@@ -199,8 +201,9 @@ def collineation(rows: Iterable[Iterable[int]]) -> Collineation:
     return canonical_collineation(m)
 
 
-def apply_collineation(c: Collineation, p: Sequence[int]) -> Point:
-    return _lead_one(gf3.vec_mat(p, c))
+def apply_collineation(c: Collineation, points: Sequence[Sequence[int]]) -> tuple[Point, ...]:
+    """The image x * c of each point, in order, as one gf3.mat_mul."""
+    return tuple(map(_lead_one, gf3.mat_mul(points, c)))
 
 
 def compose(a: Collineation, b: Collineation) -> Collineation:

@@ -129,11 +129,11 @@ def test_criterion_08_layer_elations_and_their_extension(model, base):
             ok = ok and image == system.layers[(k, (j + 1) % 3)]
     mu0 = system.space_elations[0]
     ok = ok and mu0 == cosets.BASE_EXTENSION
-    support = set().union(*system.plane_points.values())
-    act = {p: pg.apply_collineation(mu0, p) for p in support}
+    support = tuple(set().union(*system.plane_points.values()))
+    act = dict(zip(support, pg.apply_collineation(mu0, support)))
     ok = ok and cosets.induced_layer_powers(model, base, act) == (0, 1, 1, 1)
-    for p in pg.flat_points(system.conics[0].plane):
-        ok = ok and pg.apply_collineation(mu0, p) == p
+    plane = pg.flat_points(system.conics[0].plane)
+    ok = ok and pg.apply_collineation(mu0, plane) == plane
     _report(8, ok, "elations cycle the layers; the literal extension restricts right")
 
 

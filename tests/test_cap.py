@@ -67,6 +67,14 @@ def test_no_three_cap_points_collinear(cap):
     assert capmod.is_cap(cap.points)
 
 
+def test_is_cap_refuses_a_point_that_is_not_canonical():
+    # (2,2,0,0,0,0) is the point (1,1,0,0,0,0), on the line through the other
+    # two; compared as written it was never found there
+    with pytest.raises(ValueError, match="2:2:0:0:0:0 is not a canonical point"):
+        capmod.is_cap([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (2, 2, 0, 0, 0, 0)])
+    assert not capmod.is_cap([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)])
+
+
 def test_cap_for_every_base_point(model):
     # the construction is projectively homogeneous
     for p in model.points:
@@ -348,7 +356,7 @@ def test_automorphism_order_terminates_on_unstructured_sets():
         rng = random.Random(seed)
         pts = rng.sample(pg.enumerate_points(5), 12)
         m = _random_collineation(rng)
-        moved = [pg.apply_collineation(m, p) for p in pts]
+        moved = pg.apply_collineation(m, pts)
         design, moved_design = capmod.blocks(pts), capmod.blocks(moved)
         assert len(design.blocks) == len(moved_design.blocks)
         order = capmod.automorphism_order(design)
@@ -445,7 +453,7 @@ def test_stabiliser_chain_generators_on_the_witt_design(model, pre, checked_chai
 def test_automorphism_order_of_layer_set_representatives(model, base, quad, order):
     pts = sorted(cosets.twelve_set(model, base, quad).points)
     m = _random_collineation(random.Random(sum(quad)))
-    moved = [pg.apply_collineation(m, p) for p in pts]
+    moved = pg.apply_collineation(m, pts)
     assert capmod.automorphism_order(capmod.blocks(pts)) == order
     assert capmod.automorphism_order(capmod.blocks(moved)) == order
 

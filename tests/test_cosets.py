@@ -124,12 +124,12 @@ def test_record_agrees_with_the_closed_form(model, pre):
             }
         mu = system.space_elations[k]
         axis = model.osculating_primes[conic]
-        for p in pg.enumerate_points(5):
-            if pg.incident(p, axis):
-                assert pg.apply_collineation(mu, p) == p
-        for x in pg.enumerate_points(2):
-            if not pg.incident(x, conic.preimage_line):
-                assert pg.apply_collineation(mu, veronese_map(x)) == capmod.cap_map(x, base)
+        on_axis = [p for p in pg.enumerate_points(5) if pg.incident(p, axis)]
+        assert pg.apply_collineation(mu, on_axis) == tuple(on_axis)
+        off = [x for x in pg.enumerate_points(2) if not pg.incident(x, conic.preimage_line)]
+        assert pg.apply_collineation(mu, [veronese_map(x) for x in off]) == tuple(
+            capmod.cap_map(x, base) for x in off
+        )
 
 
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
@@ -139,8 +139,21 @@ def test_layer_elation_is_the_restriction_of_the_previous_extension(model, pre):
     for k in cosets.LABEL_ORDER:
         kappa = system.layer_elations[k]
         mu = system.space_elations[(k - 1) % 4]
-        for p in system.plane_points[k]:
-            assert kappa[p] == pg.apply_collineation(mu, p)
+        points = system.plane_points[k]
+        assert tuple(map(kappa.__getitem__, points)) == pg.apply_collineation(mu, points)
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_record_elation_powers_compose_the_layer_elation(model, pre):
+    system = cosets.conic_layers(model, veronese_map(pre))
+    for k in cosets.LABEL_ORDER:
+        kappa = system.layer_elations[k]
+        power = system.plane_points[k]
+        for e in (0, 1, 2):
+            assert system.elation_powers[k][e] == power
+            power = tuple(kappa[p] for p in power)
+        assert power == system.plane_points[k]
+        assert len(system.elation_powers[k]) == 3
 
 
 def _labels_by_preimage(model, base):
@@ -251,19 +264,19 @@ def test_next_layer_is_internal_points_of_previous_layer_conic(
 def test_base_extension_is_the_expected_literal(system):
     mu0 = system.space_elations[0]
     assert mu0 == cosets.BASE_EXTENSION
-    assert pg.apply_collineation(mu0, (0, 0, 0, 0, 0, 1)) == (1, 0, 0, 0, 0, 1)
+    assert pg.apply_collineation(mu0, [(0, 0, 0, 0, 0, 1)]) == ((1, 0, 0, 0, 0, 1),)
 
 
 def test_base_extension_fixes_its_conic_plane_pointwise(system):
     mu0 = system.space_elations[0]
-    for p in pg.flat_points(system.conics[0].plane):
-        assert pg.apply_collineation(mu0, p) == p
+    plane = pg.flat_points(system.conics[0].plane)
+    assert pg.apply_collineation(mu0, plane) == plane
 
 
 def _plane_action(system, mu):
     """The collineation's action on the 49 points of the four conic planes."""
-    support = set().union(*system.plane_points.values())
-    return {p: pg.apply_collineation(mu, p) for p in support}
+    support = tuple(set().union(*system.plane_points.values()))
+    return dict(zip(support, pg.apply_collineation(mu, support)))
 
 
 def test_base_extension_restricts_to_first_powers_elsewhere(model, base, system):
@@ -287,8 +300,8 @@ def test_extended_elation_is_a_perspectivity(model, base, system, k):
     # fixes the osculating prime of conic k pointwise and the base linewise
     mu = system.space_elations[k]
     axis = model.osculating_primes[system.conics[k]]
-    for p in pg.enumerate_points(5):
-        q = pg.apply_collineation(mu, p)
+    points = pg.enumerate_points(5)
+    for p, q in zip(points, pg.apply_collineation(mu, points)):
         if pg.incident(p, axis):
             assert q == p
         elif q != p:
@@ -408,14 +421,14 @@ def test_orbit_report(model, base):
 
 def test_orbit_witnesses_actually_witness(model, base):
     report = cosets.verify_orbit_equivalence(model, base)
-    start0 = cosets.twelve_set(model, base, (0, 0, 0, 0)).points
+    start0 = tuple(cosets.twelve_set(model, base, (0, 0, 0, 0)).points)
     for quad, g in report.surface_witnesses.items():
-        assert {pg.apply_collineation(g, p) for p in start0} == cosets.twelve_set(
+        assert set(pg.apply_collineation(g, start0)) == cosets.twelve_set(
             model, base, quad
         ).points
-    start1 = cosets.twelve_set(model, base, (1, 1, 1, 1)).points
+    start1 = tuple(cosets.twelve_set(model, base, (1, 1, 1, 1)).points)
     for quad, g in report.cap_witnesses.items():
-        assert {pg.apply_collineation(g, p) for p in start1} == cosets.twelve_set(
+        assert set(pg.apply_collineation(g, start1)) == cosets.twelve_set(
             model, base, quad
         ).points
 
@@ -449,7 +462,7 @@ def test_every_conic_permutation_is_realized_by_a_lift(model, base, system):
         back = gf3.transpose(m)
         perm = {}
         for k, line in pencil.items():
-            image_line = pg.canonical_point(gf3.vec_mat(line, _inverse(back)))
+            (image_line,) = pg.apply_collineation(_inverse(back), [line])
             target = next(
                 kk for kk, l2 in pencil.items() if l2 == image_line
             )
@@ -466,15 +479,13 @@ def test_rearranged_quadruples_are_witnessed_equivalent(model, base, system):
     # read the induced label permutation off the plane action itself
     perm = {}
     for k in cosets.LABEL_ORDER:
-        image = frozenset(
-            pg.apply_collineation(lifted, p) for p in system.conics[k].points
-        )
+        image = frozenset(pg.apply_collineation(lifted, tuple(system.conics[k].points)))
         perm[k] = next(
             kk for kk in cosets.LABEL_ORDER if system.conics[kk].points == image
         )
     for quad in [(0, 1, 2, 0), (2, 1, 0, 1), (1, 1, 2, 2)]:
         s = cosets.twelve_set(model, base, quad)
-        image_pts = {pg.apply_collineation(lifted, p) for p in s.points}
+        image_pts = set(pg.apply_collineation(lifted, tuple(s.points)))
         permuted = [0, 0, 0, 0]
         for i, k in enumerate(cosets.LABEL_ORDER):
             permuted[cosets.LABEL_ORDER.index(perm[k])] = quad[i]
@@ -633,7 +644,7 @@ def _reference_closure(generators, points):
     gens = []
     for g in generators:
         g = pg.canonical_collineation(g)
-        gens.append((g, {p: pg.apply_collineation(g, p) for p in points}))
+        gens.append((g, {p: _apply(g, p) for p in points}))
     found = {gf3.identity(len(gens[0][0])): {p: p for p in points}, **dict(gens)}
     frontier = list(found.items())
     while frontier:
@@ -668,7 +679,7 @@ def test_group_closure_carries_the_action_of_a_non_abelian_group():
     closure = cosets.group_closure([SWAP, CYCLE], points)
     assert len(closure) == 6
     for g, act in closure.items():
-        assert act == {p: pg.apply_collineation(g, p) for p in points}
+        assert act == dict(zip(points, pg.apply_collineation(g, points)))
     assert list(closure.items()) == list(_reference_closure([SWAP, CYCLE], points).items())
 
 
@@ -695,6 +706,12 @@ def test_group_closure_of_no_generators_is_the_trivial_group():
     assert cosets.group_closure([], points) == {gf3.identity(3): {p: p for p in points}}
 
 
+def test_group_closure_of_a_one_point_set_is_a_tuple_action():
+    # only in PG(0,3) does one point determine collineations; the group is
+    # trivial, and its one action maps the point to itself
+    assert cosets.group_closure([((2,),)], [(1,)]) == {((1,),): {(1,): (1,)}}
+
+
 def test_group_closure_refuses_points_that_do_not_determine_collineations():
     # a diagonal matrix fixes every coordinate point, so its action there is
     # the identity's, and keying the group by actions would lose it
@@ -715,12 +732,12 @@ def test_group_closure_names_a_generator_that_leaves_the_point_set():
 
 
 # Per-point reference routines: each collineation image by an explicit
-# canonical vec_mat, elation powers by composing the permutation, prime
-# sections by pg.incident, projections by searching pg.line_through.
+# sum over the matrix entries, elation powers by composing the permutation,
+# prime sections by pg.incident, projections by searching pg.line_through.
 
 
 def _apply(g, p):
-    return pg.canonical_point(gf3.vec_mat(p, g))
+    return pg.canonical_point(sum(x * row[j] for x, row in zip(p, g)) for j in range(len(g)))
 
 
 def _induced_powers(model, base, g):

@@ -136,7 +136,7 @@ def test_products_match_triple_loop_reference():
         a, b = _random_mat(rng, r, k), _random_mat(rng, k, c)
         assert gf3.mat_mul(a, b) == _mat_mul_reference(a, b)
         for x in a:
-            assert gf3.vec_mat(x, b) == _mat_mul_reference((x,), b)[0]
+            assert gf3.mat_mul((x,), b) == _mat_mul_reference((x,), b)
     # 6x6 collineations, as pg composes and applies them
     found = 0
     while found < 10:
@@ -146,7 +146,7 @@ def test_products_match_triple_loop_reference():
         found += 1
         assert gf3.mat_mul(m, t) == _mat_mul_reference(m, t)
         x = tuple(rng.randrange(3) for _ in range(6))
-        assert gf3.vec_mat(x, m) == _mat_mul_reference((x,), m)[0]
+        assert gf3.mat_mul((x,), m) == _mat_mul_reference((x,), m)
 
 
 def test_dot_matches_triple_loop_reference():
@@ -165,6 +165,31 @@ def test_products_reject_mismatched_inner_dimension(delta):
     with pytest.raises(ValueError, match="inner dimensions differ"):
         gf3.mat_mul(a, b)
     with pytest.raises(ValueError, match="inner dimensions differ"):
-        gf3.vec_mat(a[0], b)
+        gf3.mat_mul(a[:1], b)
     with pytest.raises(ValueError, match="vector lengths differ"):
         gf3.dot(a[0], gf3.transpose(b)[0])
+
+
+def test_mat_mul_at_the_largest_inner_dimension():
+    # all-2 entries fill every byte lane to 4 * 63 = 252, the most it holds
+    rng = random.Random(14)
+    a = ((2,) * 63,) * 3 + (_random_mat(rng, 1, 63)[0],)
+    b = ((2,) * 5,) * 63
+    assert gf3.mat_mul(a, b) == _mat_mul_reference(a, b)
+    with pytest.raises(ValueError, match="inner dimension 64"):
+        gf3.mat_mul(((2,) * 64,), ((2,),) * 64)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (((1, 0), (1,)), ((1,), (1,)), "inner dimensions differ"),        # ragged a
+        (((1, -1),), ((1,), (1,)), "entries must be 0, 1 or 2"),
+        (((1, 1),), ((1,), (-1,)), "entries must be 0, 1 or 2"),
+        (((1, 3),), ((1,), (1,)), "entries must be 0, 1 or 2"),
+    ],
+    ids=["ragged", "negative_left", "negative_right", "unreduced"],
+)
+def test_mat_mul_refuses_bad_shapes_and_entries(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        gf3.mat_mul(a, b)

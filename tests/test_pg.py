@@ -227,7 +227,7 @@ def test_flat_points_and_coordinates_round_trip():
     assert len(set(pts)) == 13
     for p, c in zip(pts, pg.enumerate_points(2)):
         assert pg.span(list(f) + [p]) == f
-        assert p == pg.canonical_point(gf3.vec_mat(c, f))
+        assert p == pg.canonical_point(gf3.mat_mul((c,), f)[0])
 
 
 def _normalised(v):
@@ -286,13 +286,34 @@ def test_flat_points_of_bases_outside_rref():
 
 def test_apply_identity_fixes_every_point():
     eye = gf3.identity(6)
-    for p in pg.enumerate_points(5)[:40]:
-        assert pg.apply_collineation(eye, p) == p
+    points = pg.enumerate_points(5)
+    assert pg.apply_collineation(eye, points) == points
 
 
 def test_space_elation_point_images():
-    assert pg.apply_collineation(MU, (0, 0, 0, 0, 0, 1)) == (1, 0, 0, 0, 0, 1)
-    assert pg.apply_collineation(MU, (1, 0, 0, 0, 0, 0)) == (1, 0, 0, 0, 0, 0)
+    assert pg.apply_collineation(MU, [(0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)]) == (
+        (1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0))
+
+
+def test_apply_collineation_maps_every_point_as_one_product():
+    # the whole-sequence image equals each point's own image x * c, scaled
+    # by the one normaliser
+    rng = random.Random(18)
+    points = pg.enumerate_points(5)
+    found = 0
+    while found < 20:
+        c = tuple(tuple(rng.randrange(3) for _ in range(6)) for _ in range(6))
+        if gf3.rank(c) < 6:
+            continue
+        found += 1
+        per_point = tuple(
+            pg._lead_one(tuple(sum(x[i] * c[i][j] for i in range(6)) % 3 for j in range(6)))
+            for x in points
+        )
+        assert pg.apply_collineation(c, points) == per_point
+    singular = gf3.mat(c[:5] + (gf3.vec_add(c[0], c[1]),))
+    with pytest.raises(ValueError, match="zero vector"):
+        pg.apply_collineation(singular, points)
 
 
 def test_collineation_rejects_singular():
@@ -310,7 +331,7 @@ def test_every_route_to_a_point_refuses_the_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
         pg.canonical_point((3, 0, 6))
     with pytest.raises(ValueError, match="zero vector"):
-        pg.apply_collineation(singular, (1, 2, 0))
+        pg.apply_collineation(singular, [(1, 0, 0), (1, 2, 0)])
     with pytest.raises(ValueError, match="zero vector"):
         pg.flat_points(dependent)
 
@@ -354,7 +375,8 @@ def test_determines_collineations_matches_brute_force_over_pgl33():
     eye = gf3.identity(3)
     # the fixed points of each non-identity collineation, as a point mask
     fixed = {
-        sum(1 << i for i, p in enumerate(points) if pg.apply_collineation(g, p) == p)
+        sum(1 << i for i, (p, q) in enumerate(zip(points, pg.apply_collineation(g, points)))
+            if p == q)
         for g in group
         if g != eye
     }
@@ -380,7 +402,7 @@ def _greedy_determines_collineations(points):
     if not points or len(basis) < len(points[0]):
         return False
     inv = _inverse(basis)
-    supports = [{i for i, c in enumerate(gf3.vec_mat(p, inv)) if c} for p in points]
+    supports = [{i for i, c in enumerate(x) if c} for x in gf3.mat_mul(points, inv)]
     linked = {0}
     for _ in basis:
         linked = linked.union(*(s for s in supports if s & linked))
@@ -407,7 +429,7 @@ def _seeded_point_sets(n, seed, count):
             part = rng.choice((range(cut), range(cut, n + 1)))   # the second may be empty
             coeffs = [rng.randrange(3) if i in part else 0 for i in range(n + 1)]
             if any(coeffs):
-                combos.append(pg.canonical_point(gf3.vec_mat(coeffs, m)))
+                combos.append(pg.apply_collineation(m, [coeffs])[0])
         rng.shuffle(combos)
         yield tuple(combos)
 

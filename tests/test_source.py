@@ -33,7 +33,7 @@ def test_only_pg_reads_the_incidence_masks():
 
 
 def test_only_gf3_imports_the_product():
-    # the GF(3) product lives in gf3; other modules multiply through gf3.vec_mat
+    # the GF(3) product lives in gf3; other modules multiply through gf3.mat_mul
     src = Path(wittcap.__file__).parent
     offenders = [
         f"{path.name}:{node.lineno}"
@@ -154,4 +154,33 @@ def test_every_imported_name_is_read():
     offenders = sorted(unread - exempt.keys())
     assert not offenders, "imported name never read: " + ", ".join(offenders)
     stale = sorted(exempt.keys() - unread)
+    assert not stale, "stale exemption: " + ", ".join(stale)
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an argument every caller passes
+    # for nothing; the exempt ones keep a signature that callers rely on, and
+    # an exemption is stale once its parameter is gone or read
+    exempt = {
+        "cap.build_cap_from_formula.model": "bench/workloads.py calls it with this signature",
+        "cli.cmd_dump_veronese.args": "the subcommand table calls every handler with args",
+    }
+    src = Path(wittcap.__file__).parent
+    unread = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p]
+            read = {
+                n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = f"{path.stem}.{getattr(node, 'name', 'lambda')}"
+            unread |= {f"{name}.{p}": node.lineno for p in params if p not in read}
+    offenders = sorted(f"{q} (line {line})" for q, line in unread.items() if q not in exempt)
+    assert not offenders, "parameter never read: " + ", ".join(offenders)
+    stale = sorted(exempt.keys() - unread.keys())
     assert not stale, "stale exemption: " + ", ".join(stale)

@@ -207,9 +207,11 @@ def test_lift_intertwines_the_map():
             mats.append(m)
     for a in mats:
         lifted = lift_collineation(a)
-        for x in pg.enumerate_points(2):
-            moved = pg.apply_collineation(a, x)
-            assert veronese_map(moved) == pg.apply_collineation(lifted, veronese_map(x))
+        points = pg.enumerate_points(2)
+        moved = pg.apply_collineation(a, points)
+        assert tuple(map(veronese_map, moved)) == pg.apply_collineation(
+            lifted, [veronese_map(x) for x in points]
+        )
 
 
 def test_lift_is_a_homomorphism_on_random_pairs():
@@ -234,11 +236,11 @@ def test_lift_rejects_singular():
 def test_lift_fixing_base_preimage_permutes_conics_through_base(model, base):
     a = gf3.mat([(1, 0, 0), (0, 0, 1), (0, 1, 0)])  # fixes (1,0,0)
     lifted = lift_collineation(a)
-    assert pg.apply_collineation(lifted, base) == base
+    assert pg.apply_collineation(lifted, [base]) == (base,)
     through = model.conics_through(base)
     images = []
     for c in through:
-        image = frozenset(pg.apply_collineation(lifted, p) for p in c.points)
+        image = frozenset(pg.apply_collineation(lifted, tuple(c.points)))
         images.append(image)
     assert set(images) == {c.points for c in through}
 
