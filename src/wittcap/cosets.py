@@ -389,13 +389,15 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
 @lru_cache(maxsize=None)
 def _projection_frame(
     model: VeroneseModel, base: Point, target: Hyperplane
-) -> tuple[Mapping[int, tuple[Point, ...]], tuple[Point, ...], frozenset[Point]]:
+) -> tuple[Mapping[int, tuple[Point, ...]], tuple[Point, ...], frozenset[Point],
+           Mapping[Point, Point]]:
     """The set-independent part of the projection from the base onto the
     target: the four lines cut by the conic planes (read-only), the
-    transversal cut by the tangent plane, and the line points off the
-    transversal.  Each cut is read as the plane's points on the target.  The
-    lines must be mutually skew and each must meet the transversal once; a
-    violation raises."""
+    transversal cut by the tangent plane, the line points off the
+    transversal, and the image of each of the 36 layer points, the only
+    points a twelve-set holds (read-only).  Each cut is read as the plane's
+    points on the target.  The lines must be mutually skew and each must
+    meet the transversal once; a violation raises."""
     if pg.incident(base, target):
         raise ValueError("target prime contains the base point")
     system = conic_layers(model, base)
@@ -413,13 +415,11 @@ def _projection_frame(
     for k in LABEL_ORDER:
         if len(set(transversal) & set(lines[k])) != 1:
             raise ValueError("transversal fails to meet a projected line once")
-    off_transversal = frozenset(itertools.chain.from_iterable(lines.values())) - set(
-        transversal
-    )
-    return MappingProxyType(lines), transversal, off_transversal
+    off_transversal = frozenset().union(*lines.values()) - set(transversal)
+    images = {x: _project(base, target, x) for layer in system.layers.values() for x in layer}
+    return MappingProxyType(lines), transversal, off_transversal, MappingProxyType(images)
 
 
-@lru_cache(maxsize=None)
 def _project(base: Point, target: Hyperplane, x: Point) -> Point:
     """Where the line from the base through x != base meets the target prime:
     the combination (b.h) x - (x.h) b of the two points, which pairs to zero
@@ -435,20 +435,18 @@ def project_from_base(
 
     The four conic planes land on four mutually skew lines, the tangent plane
     on their unique common transversal, and the twelve points on exactly the
-    line points off the transversal.  The stated geometry is verified here
-    and a violation raises.
+    line points off the transversal, which all lie on the target.  A violation
+    raises naming a set point in no layer (such as the base), else a stray
+    image, else a missed line point.
     """
-    lines, transversal, off_transversal = _projection_frame(model, base, target)
-    image = set()
-    for x in s.points:
-        if x == base:
-            raise ValueError(f"the set contains the base point {x}")
-        y = _project(base, target, x)
-        if not pg.incident(y, target):
-            raise ValueError(f"{x} projects to {y}, which is off the target")
-        image.add(y)
+    lines, transversal, off_transversal, images = _projection_frame(model, base, target)
+    outside = s.points - images.keys()
+    if outside:
+        raise ValueError(f"{pg.format_point(min(outside))} lies in no layer of the base")
+    image = set(map(images.__getitem__, s.points))
     if image != off_transversal:
-        raise ValueError("image is not the line points off the transversal")
+        stray = pg.format_point(min(image - off_transversal or off_transversal - image))
+        raise ValueError(f"the image and the line points off the transversal differ at {stray}")
     return ProjectionReport(
         target=target,
         lines=dict(lines),

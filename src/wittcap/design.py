@@ -35,6 +35,9 @@ def cover_counts(masks: Sequence[int], n: int) -> bytes:
         raise ValueError(f"a cover table holds at most 16 points, not {n}")
     if len(masks) > 255:
         raise ValueError(f"a byte lane counts at most 255 blocks, not {len(masks)}")
+    low, high = min(masks, default=0), max(masks, default=0)
+    if low < 0 or high >> n:
+        raise ValueError(f"mask {low if low < 0 else high} is not a subset of {n} points")
     counts = bytearray(1 << n)
     for m in masks:
         counts[m] += 1

@@ -61,6 +61,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     k = len(b)
     if set(map(len, a)) - {k}:
         raise ValueError("inner dimensions differ")
+    if len(set(map(len, b))) > 1:
+        raise ValueError("ragged matrix")
     if k > 63:
         raise ValueError(f"inner dimension {k} overflows a byte lane (at most 63)")
     try:

@@ -104,9 +104,8 @@ def build_model() -> VeroneseModel:
 
 @dataclass(frozen=True)
 class ConicPartition:
-    """The three-way split of a conic plane's 13 points."""
+    """The split of a conic plane's 9 points off the conic (Conic.points)."""
 
-    on_conic: frozenset[Point]
     internal: frozenset[Point]
     external: frozenset[Point]
 
@@ -144,9 +143,7 @@ def classify_conic_plane(c: Conic) -> ConicPartition:
     the conic, external points on some (each on exactly two)."""
     touched = frozenset().union(*tangent_lines(c).values())
     rest = frozenset(pg.flat_points(c.plane)) - c.points
-    return ConicPartition(
-        on_conic=c.points, internal=rest - touched, external=rest & touched
-    )
+    return ConicPartition(internal=rest - touched, external=rest & touched)
 
 
 def symmetric_matrix(y: Sequence[int]) -> Matrix:

@@ -189,7 +189,7 @@ def test_criterion_12_property_suite(model):
         ok = ok and on_all == set(pg.flat_points(model.tangent_planes[p]))
     for c in model.conics:
         part = classify_conic_plane(c)
-        ok = ok and (len(part.on_conic), len(part.internal), len(part.external)) == (
+        ok = ok and (len(c.points), len(part.internal), len(part.external)) == (
             4,
             3,
             6,

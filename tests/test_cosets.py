@@ -228,6 +228,8 @@ def test_cached_geometry_is_read_only(model, base, system):
     first = cosets.project_from_base(model, base, s, target)
     first.lines[0] = ()
     assert cosets.project_from_base(model, base, s, target).lines[0] != ()
+    with pytest.raises(TypeError):
+        cosets._projection_frame(model, base, target)[3][x] = x
     profiles = system.profiles
     with pytest.raises(TypeError):
         profiles[0][3] = 0
@@ -575,12 +577,29 @@ def test_closed_form_projection_matches_line_through(model, pre):
 
 
 def test_projection_rejects_a_point_projected_off_the_target(model, base, monkeypatch):
+    # the frame reads _project once per target: build it from the forgery,
+    # and drop the forged frame afterwards
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
     target = cosets.conic_layers(model, base).target
     off = next(p for p in pg.enumerate_points(5) if not pg.incident(p, target))
     monkeypatch.setattr(cosets, "_project", lambda b, h, x: off)
-    with pytest.raises(ValueError, match=re.escape(str(off))):
-        cosets.project_from_base(model, base, s, target)
+    cosets._projection_frame.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=f"differ at {pg.format_point(off)}$"):
+            cosets.project_from_base(model, base, s, target)
+    finally:
+        cosets._projection_frame.cache_clear()
+
+
+@pytest.mark.parametrize("stray", ["tangent", "base"])
+def test_projection_rejects_a_point_outside_the_layers(model, base, system, stray):
+    # a twelve-set holds only layer points; the base and the rest of its
+    # tangent line project nowhere on the lines off the transversal
+    s = cosets.twelve_set(model, base, (2, 0, 0, 0))
+    x = base if stray == "base" else min(tangent_lines(system.conics[0])[base] - {base})
+    forged = cosets.TwelveSet(points=s.points - {min(s.points)} | {x}, quadruple=s.quadruple)
+    with pytest.raises(ValueError, match=f"^{pg.format_point(x)} lies in no layer"):
+        cosets.project_from_base(model, base, forged, system.target)
 
 
 def _meet_frame(model, base, target):
@@ -600,10 +619,38 @@ def test_projection_frame_matches_meeting_the_planes_with_the_target(model, pre)
     base = veronese_map(pre)
     off_base = pg.hyperplanes_meeting(5, [base], 0)
     rng = random.Random(pg.enumerate_points(2).index(pre))
+    layer_points = set().union(*cosets.conic_layers(model, base).layers.values())
+    assert len(layer_points) == 36
     for target in [cosets.conic_layers(model, base).target, *rng.sample(off_base, 5)]:
-        lines, transversal, off = cosets._projection_frame(model, base, target)
+        lines, transversal, off, images = cosets._projection_frame(model, base, target)
         assert (dict(lines), transversal) == _meet_frame(model, base, target)
         assert off == set().union(*lines.values()) - set(transversal)
+        assert images.keys() == layer_points
+        for x, y in images.items():
+            assert {y} == _line_projection(base, target, [x]) and y in off
+    # the frame is the one per-target cache beside the per-base record
+    assert {name for name, fn in vars(cosets).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == cosets.__name__
+            } == {"conic_layers", "_projection_frame"}
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_every_exotic_set_projects_onto_other_targets(model, pre):
+    # the image is read from the frame's table: check it against the planes
+    # met with the target, on three primes off the base besides the default
+    base = veronese_map(pre)
+    off_base = pg.hyperplanes_meeting(5, [base], 0)
+    rng = random.Random(100 + pg.enumerate_points(2).index(pre))
+    targets = rng.sample(off_base[1:], 3)       # off_base[0] is the default target
+    for target in targets:
+        lines, transversal = _meet_frame(model, base, target)
+        want = tuple(sorted(set().union(*lines.values()) - set(transversal)))
+        for q in cosets.all_quadruples():
+            if sum(q) % 3 == 2:
+                s = cosets.twelve_set(model, base, q)
+                proj = cosets.project_from_base(model, base, s, target)
+                assert (proj.lines, proj.transversal) == (lines, transversal)
+                assert proj.image_points == want
 
 
 def test_projection_rejects_target_through_base(model, base):

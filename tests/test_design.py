@@ -41,6 +41,15 @@ def test_cover_counts_refuses_what_a_byte_lane_table_cannot_hold():
     assert designmod._lane_masks.cache_info().currsize == lanes_before
 
 
+@pytest.mark.parametrize("mask", [-1, 8], ids=["negative", "beyond_the_points"])
+@pytest.mark.parametrize("kernel", [designmod.cover_counts, designmod.stabiliser_chain],
+                         ids=["cover_counts", "stabiliser_chain"])
+def test_kernels_refuse_a_mask_outside_the_points(kernel, mask):
+    # a negative index would count into the full-set lane, a large one past the table
+    with pytest.raises(ValueError, match=f"mask {mask} is not a subset of 3 points"):
+        kernel([0b011, mask], 3)
+
+
 def test_stabiliser_chain_generators_on_small_designs(small_block_systems, checked_chain):
     # the generators are a strong generating set: they generate a group of
     # exactly the order the orbit lengths give

@@ -187,8 +187,9 @@ def test_mat_mul_at_the_largest_inner_dimension():
         (((1, -1),), ((1,), (1,)), "entries must be 0, 1 or 2"),
         (((1, 1),), ((1,), (-1,)), "entries must be 0, 1 or 2"),
         (((1, 3),), ((1,), (1,)), "entries must be 0, 1 or 2"),
+        (((1, 1),), ((1, 0), (1,)), "ragged matrix"),        # zip(*b) would truncate
     ],
-    ids=["ragged", "negative_left", "negative_right", "unreduced"],
+    ids=["ragged", "negative_left", "negative_right", "unreduced", "ragged_right"],
 )
 def test_mat_mul_refuses_bad_shapes_and_entries(a, b, message):
     with pytest.raises(ValueError, match=message):

@@ -126,6 +126,53 @@ def test_every_public_function_has_a_reader():
     assert not stale, "stale exemption: " + ", ".join(stale)
 
 
+def test_every_dataclass_field_is_read():
+    # a field that neither the library nor the bench reads as an attribute is
+    # a value built for nobody; the exempt ones are read by tests or kept for
+    # a report, and an exemption is stale once its field is gone or read
+    exempt = {
+        "Block.prime": "the carrier prime",
+        "OrbitReport.surface_witnesses": "the orbit check's witnesses, printed by no report yet",
+        "OrbitReport.cap_witnesses": "the orbit check's witnesses, printed by no report yet",
+        "OrbitReport.induced_quadruples": "the orbit check's witnesses, printed by no report yet",
+        "LayerSystem.layer_elations": "the paper's layer elation as a point map, read by the "
+                                      "elation tests; the library reads elation_powers",
+    }
+    src = Path(wittcap.__file__).parent
+    bench = src.parents[1] / "bench"
+    readers = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    read = {
+        node.attr
+        for path in readers + sorted(bench.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+    def is_dataclass(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass"
+
+    fields = [
+        (path.name, top.name, node)
+        for path in sorted(src.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, ast.ClassDef) and any(map(is_dataclass, top.decorator_list))
+        for node in top.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    assert fields
+    unread = [
+        f"{name}:{node.lineno} {cls}.{node.target.id}"
+        for name, cls, node in fields
+        if node.target.id not in read and f"{cls}.{node.target.id}" not in exempt
+    ]
+    assert not unread, "dataclass field with no reader: " + ", ".join(unread)
+    declared = {f"{cls}.{node.target.id}": node.target.id for _, cls, node in fields}
+    stale = sorted(q for q in exempt if q not in declared or declared[q] in read)
+    assert not stale, "stale exemption: " + ", ".join(stale)
+
+
 def test_every_imported_name_is_read():
     # an import its module never reads is dead; the exempt bindings are read
     # from outside, and an exemption is stale once its import is gone or read

