@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import gf3, pg
@@ -55,6 +56,21 @@ class Block:
 class Design:
     points: tuple[Point, ...]
     blocks: tuple[Block, ...]
+
+    @cached_property
+    def _block_masks(self) -> tuple[int, ...]:
+        """Each block as an int mask, bit i for points[i], in block order;
+        built once per design, for `verify_witt` and `automorphism_order`.
+        A block point outside points is ignored: it cannot change which
+        subsets of the design's points the block contains.  A repeated
+        design point is refused (ValueError naming the first point seen
+        twice)."""
+        bit: dict[Point, int] = {}
+        for i, p in enumerate(self.points):
+            if p in bit:
+                raise ValueError(f"design point {pg.format_point(p)} is repeated")
+            bit[p] = 1 << i
+        return tuple(sum(map(bit.get, b.points, itertools.repeat(0))) for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -145,30 +161,17 @@ def is_cap(points: Iterable[Point]) -> bool:
     return True
 
 
-def _block_masks(design: Design) -> list[int]:
-    """Each block as an int mask, bit i for design.points[i], in block order.
-    A block point outside design.points is ignored: it cannot change which
-    subsets of the design's points the block contains.  A repeated design
-    point is refused (ValueError naming the first point seen twice)."""
-    bit: dict[Point, int] = {}
-    for i, p in enumerate(design.points):
-        if p in bit:
-            raise ValueError(f"design point {pg.format_point(p)} is repeated")
-        bit[p] = 1 << i
-    return [sum(bit.get(p, 0) for p in b.points) for b in design.blocks]
-
-
 def verify_witt(design: Design) -> WittReport:
     """Check the 5-(12,6,1) axioms by full enumeration of the 792 5-subsets.
 
-    Cover counts are read from `cover_counts` over the `_block_masks`.
+    Cover counts are read from `cover_counts` over the design's `_block_masks`.
     Also reports the 4-subset covering number, which must be constant.  The
     first violating 5-subset (with its cover count) is recorded on failure.
     A design with a repeated point, on more than 16 points or with more
     than 255 blocks is refused (ValueError).
     """
     pts = design.points
-    table = cover_counts(_block_masks(design), len(pts))
+    table = cover_counts(design._block_masks, len(pts))
     fives = bytes(map(table.__getitem__, subset_masks(len(pts), 5)))
     first = len(fives) - len(fives.lstrip(b"\x01"))   # the first count other than 1
     violation = None
@@ -223,9 +226,9 @@ def automorphism_order(design: Design) -> int:
     """Order of the group of permutations of the design's points that map
     the set of blocks onto itself (a repeated block counts once).
 
-    Counted by `design.stabiliser_chain` over the `_block_masks`, so a
+    Counted by `design.stabiliser_chain` over the design's `_block_masks`, so a
     design with a repeated point, on more than 16 points or with more than
     255 distinct blocks is refused (ValueError).
     """
-    _, orbit_lengths, _ = stabiliser_chain(_block_masks(design), len(design.points))
+    _, orbit_lengths, _ = stabiliser_chain(design._block_masks, len(design.points))
     return math.prod(orbit_lengths)

@@ -82,7 +82,6 @@ class LayerSystem:
     layers: Mapping[tuple[int, int], frozenset[Point]]
     plane_points: Mapping[int, tuple[Point, ...]]   # pg.flat_points of each conic plane
     space_elations: Mapping[int, Collineation]      # by label
-    layer_elations: Mapping[int, Mapping[Point, Point]]   # by label, on its plane
     # by label: the images of plane_points under the 0th, 1st and 2nd power
     # of the layer elation
     elation_powers: Mapping[int, tuple[tuple[Point, ...], ...]]
@@ -193,7 +192,6 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         )
         for k in LABEL_ORDER
     }
-    layer_elations: dict[int, Mapping[Point, Point]] = {}
     elation_powers: dict[int, tuple[tuple[Point, ...], ...]] = {}
     for k in LABEL_ORDER:
         mu = space_elations[(k - 1) % len(LABEL_ORDER)]
@@ -205,7 +203,6 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
                     f"the elation of conic {LABEL_NAMES[k]} at {base} does not carry "
                     f"layer {j} onto layer {(j + 1) % 3}"
                 )
-        layer_elations[k] = MappingProxyType(perm)
         elation_powers[k] = (plane_points[k], images, tuple(map(perm.__getitem__, images)))
     profiles: dict[int, Mapping[int, int]] = {}
     for cls in (0, 1, 2):
@@ -219,7 +216,6 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         layers=MappingProxyType(layers),
         plane_points=MappingProxyType(plane_points),
         space_elations=MappingProxyType(space_elations),
-        layer_elations=MappingProxyType(layer_elations),
         elation_powers=MappingProxyType(elation_powers),
         profiles=MappingProxyType(profiles),
         target=pg.hyperplanes_meeting(5, [base], 0)[0],

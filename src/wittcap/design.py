@@ -9,6 +9,7 @@ not depend on the PG(5,3) arithmetic that produced the blocks.
 from __future__ import annotations
 
 import itertools
+import struct
 from functools import lru_cache
 from typing import Sequence
 
@@ -53,6 +54,22 @@ def subset_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
 
 
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"   # translate table: byte -> byte + 1
+
+
+@lru_cache(maxsize=None)
+def _weight_lanes(n: int) -> tuple[int, ...]:
+    """ones[k] holds 0x01 in every byte lane m of a 2^n-lane table whose
+    index m has k bits set, and 0 elsewhere, for k in range(n + 1)."""
+    weights = b"\x00"
+    for _ in range(n):   # lane m + 2^i, for m < 2^i, has one bit more than lane m
+        weights += weights.translate(_PLUS_ONE)
+    return tuple(
+        int.from_bytes(weights.translate(bytes(k) + b"\x01" + bytes(255 - k)), "little")
+        for k in range(n + 1)
+    )
+
+
 def stabiliser_chain(
     masks: Sequence[int], n: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -66,11 +83,19 @@ def stabiliser_chain(
     The chain is walked from the deepest base point up.  At depth d the
     group is the pointwise stabiliser of base[:d], and the orbit of base[d]
     starts as {base[d]}.  Each candidate image outside the orbit so far is
-    settled by one prefix search with base[:d] held fixed: the image of
-    every partially mapped block must stay inside some block (a nonzero
-    `cover_counts` entry), and a complete map counts only if it permutes
-    the blocks.  A map found is kept as a generator, and the orbit is
-    closed under every generator kept so far.
+    settled by one prefix search with base[:d] held fixed.  An automorphism
+    preserves every cover count, so once base[:e + 1] is mapped, every
+    block B through base[e] must send B & prefix, the prefix being the
+    points of base[:e + 1], to a subset with the same `cover_counts` entry;
+    a complete map counts only if it permutes the blocks.  A map found is
+    kept as a generator, and the orbit is closed under every generator kept
+    so far.
+
+    The images of all blocks are one int, 16 bits per block: placing point
+    p at v adds lane[p] << v, where lane[p] has bit 16 bi set for each
+    block bi through p.  A check on k mapped points cannot fail when every
+    k-subset has the same cover count, so it is skipped; on the Witt design
+    that leaves one check per block, at its last base point.
 
     This is exact.  Every generator was found at a depth >= d, so it fixes
     base[:d] pointwise, and the closed orbit lies inside the true orbit.
@@ -78,59 +103,70 @@ def stabiliser_chain(
     than 16 points or 255 distinct blocks are refused (ValueError).
     """
     block_masks = sorted(set(masks))
-    blocks_of = tuple(
-        tuple(bi for bi, bm in enumerate(block_masks) if bm >> i & 1) for i in range(n)
-    )
-    # coverable[m] is nonzero iff the points of m lie in a common block.
     coverable = cover_counts(block_masks, n)
-    # Constrained points first: order the base by block degree.  An image
-    # must lie on as many blocks as its preimage.
-    base = sorted(range(n), key=lambda i: (-len(blocks_of[i]), i))
-    peers = tuple(
-        tuple(v for v in range(n) if len(blocks_of[v]) == len(blocks_of[p]))
-        for p in range(n)
-    )
-    # Every point starts fixed; the walk below releases one base point per depth.
-    images = list(block_masks)
-    used = (1 << n) - 1
+    lanes = struct.Struct(f"<{len(block_masks)}H")
+    packed = int.from_bytes(lanes.pack(*block_masks), "little")
+    lane_ones = int.from_bytes(lanes.pack(*[1] * len(block_masks)), "little")
+    lane = [packed >> p & lane_ones for p in range(n)]
+    degree = [x.bit_count() for x in lane]
+    # An image must lie on as many blocks as its preimage.  The base takes
+    # the smallest such cell first, then the most constrained point.
+    peers = tuple(tuple(v for v in range(n) if degree[v] == degree[p]) for p in range(n))
+    base = sorted(range(n), key=lambda i: (len(peers[i]), -degree[i], i))
+    prefix = list(itertools.accumulate(1 << p for p in base))
+    # uniform[k]: every k-subset has the cover count of the first one.
+    table = int.from_bytes(coverable, "little")
+    uniform = [
+        table & ones * 0xFF == ones * coverable[(1 << k) - 1]
+        for k, ones in enumerate(_weight_lanes(n))
+    ]
+    # checks[d]: (shift, count) for each block B through base[d] whose
+    # B & prefix[d] has a size k with uneven cover counts.  `ranked` holds
+    # each block with bit d for base[d]: with k of its bits left, the top
+    # one is its k-th base point.  Sizes below the least uneven k are skipped.
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ranked = sum(lane[p] << d for d, p in enumerate(base)).to_bytes(lanes.size, "little")
+    least = next((k for k in range(1, n + 1) if not uniform[k]), n + 1)
+    for bi, (bm, rm) in enumerate(zip(block_masks, lanes.unpack(ranked))):
+        for k in range(rm.bit_count(), least - 1, -1):
+            d = rm.bit_length() - 1
+            if not uniform[k]:
+                checks[d].append((16 * bi, coverable[bm & prefix[d]]))
+            rm ^= 1 << d
     # assign[p] is the image of point p.  A search at depth d writes only
     # the points of base[d:], and depths are walked upwards, so the points
     # of base[:d] still map to themselves.
     assign = list(range(n))
 
-    def places(depth: int, v: int, used: int) -> bool:
+    def places(depth: int, v: int, images: int, used: int) -> bool:
         """With base[:depth] mapped as `images` and `used` record, does
         sending base[depth] to v extend to a block permutation?"""
-        bit = 1 << v
-        mine = blocks_of[base[depth]]
-        for bi in mine:
-            if not coverable[images[bi] | bit]:
+        p = base[depth]
+        images += lane[p] << v
+        for shift, count in checks[depth]:
+            if coverable[images >> shift & 0xFFFF] != count:
                 return False
-        for bi in mine:
-            images[bi] |= bit
-        assign[base[depth]] = v
-        used |= bit
+        assign[p] = v
         if depth + 1 == n:
-            found = sorted(images) == block_masks
-        else:
-            nxt = peers[base[depth + 1]]
-            found = any(places(depth + 1, w, used) for w in nxt if not used >> w & 1)
-        for bi in mine:
-            images[bi] ^= bit
-        return found
+            return sorted(lanes.unpack(images.to_bytes(lanes.size, "little"))) == block_masks
+        used |= 1 << v
+        for w in peers[base[depth + 1]]:
+            if not used >> w & 1 and places(depth + 1, w, images, used):
+                return True
+        return False
 
     gens: list[tuple[int, tuple[int, ...]]] = []
     orbit_lengths = [0] * n
+    # Every point starts fixed; the walk below releases one base point per depth.
+    images = packed
+    used = (1 << n) - 1
     for depth in range(n - 1, -1, -1):
-        # Release base[depth]: the state now holds base[:depth] fixed, since
-        # `places` undoes its own writes to `images`.
-        bit = 1 << base[depth]
-        for bi in blocks_of[base[depth]]:
-            images[bi] ^= bit
-        used ^= bit
-        orbit = {base[depth]}
-        for v in peers[base[depth]]:
-            if used >> v & 1 or v in orbit or not places(depth, v, used):
+        p = base[depth]
+        images -= lane[p] << p
+        used ^= 1 << p
+        orbit = {p}
+        for v in peers[p]:
+            if used >> v & 1 or v in orbit or not places(depth, v, images, used):
                 continue
             gens.append((depth, tuple(assign)))
             frontier = list(orbit)

@@ -53,6 +53,18 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
+def _entries(m: Matrix) -> bytes:
+    """The entries of m row by row, a byte each; ValueError unless every
+    entry is 0, 1 or 2."""
+    try:
+        flat = bytes(chain.from_iterable(m))
+    except ValueError:      # bytes() takes only 0..255
+        flat = b"\xff"
+    if flat.translate(None, _DIGITS):
+        raise ValueError("matrix entries must be 0, 1 or 2")
+    return flat
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a * b for entries 0, 1, 2, on byte lanes: column i of a is one int with
     a byte per row, column j of the product is the sum of b[i][j] times
@@ -65,13 +77,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("ragged matrix")
     if k > 63:
         raise ValueError(f"inner dimension {k} overflows a byte lane (at most 63)")
-    try:
-        lanes = bytes(chain.from_iterable(a))
-        entries = lanes + bytes(chain.from_iterable(b))
-    except ValueError:      # bytes() takes only 0..255
-        entries = b"\xff"
-    if entries.translate(None, _DIGITS):
-        raise ValueError("matrix entries must be 0, 1 or 2")
+    lanes = _entries(a)
+    _entries(b)
     n = len(a)
     columns = [int.from_bytes(lanes[i::k], "little") for i in range(k)]
     sums = [sum(map(mul, col, columns)).to_bytes(n, "little") for col in zip(*b)]
@@ -83,8 +90,12 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form over GF(3) plus the rank.
 
     Shape is preserved; zero rows sink to the bottom.  Inverses are free:
-    the only nonzero scalars are 1 and 2, and 2 is its own inverse.
+    the only nonzero scalars are 1 and 2, and 2 is its own inverse.  A
+    ragged matrix, or an entry other than 0, 1 or 2, is refused (ValueError).
     """
+    if len(set(map(len, m))) > 1:
+        raise ValueError("ragged matrix")
+    _entries(m)
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import compress, repeat
 
 from . import gf3
 from .gf3 import Matrix, Vector
@@ -27,6 +28,26 @@ _MOD3 = bytes(i % 3 for i in range(256))  # a byte-lane translation table
 class TernaryCode:
     generator: Matrix                      # 6x12, columns = cap point vectors
     column_points: tuple[Point, ...]       # cap points, one per column
+
+    @cached_property
+    def _words(self) -> tuple[Vector, ...]:
+        """The row space, built once per code; see enumerate_codewords.
+
+        The words so far are one buffer, a byte per coordinate; each row r,
+        taken last-first, makes it words + (words + r) + (words + 2r).
+        Lanes stay below 7, so buffers add as big ints without carries, then
+        reduce mod 3 by a byte table.
+        """
+        n = len(self.generator[0])
+        words = bytes(n)
+        for row in reversed(self.generator):
+            size = len(words)
+            w = int.from_bytes(words, "big")
+            r = int.from_bytes(bytes(x % 3 for x in row) * (size // n), "big")
+            words += b"".join(
+                (w + k * r).to_bytes(size, "big").translate(_MOD3) for k in (1, 2)
+            )
+        return tuple(zip(*[iter(words)] * n))
 
 
 def generator_matrix(cap: CapSet) -> TernaryCode:
@@ -51,27 +72,16 @@ def code_rank(code: TernaryCode) -> int:
 
 def enumerate_codewords(code: TernaryCode) -> tuple[Vector, ...]:
     """All 3^6 = 729 row-space vectors, in lexicographic order of the
-    coefficient tuples (the first row's coefficient varies slowest).
-
-    The words so far are one buffer, a byte per coordinate; each row r,
-    taken last-first, makes it words + (words + r) + (words + 2r).  Lanes
-    stay below 7, so buffers add as big ints without carries, then reduce
-    mod 3 by a byte table.
-    """
-    n = len(code.generator[0])
-    words = bytes(n)
-    for row in reversed(code.generator):
-        size = len(words)
-        w = int.from_bytes(words, "big")
-        r = int.from_bytes(bytes(x % 3 for x in row) * (size // n), "big")
-        words += b"".join((w + k * r).to_bytes(size, "big").translate(_MOD3) for k in (1, 2))
-    return tuple(zip(*[iter(words)] * n))
+    coefficient tuples (the first row's coefficient varies slowest).  Every
+    call on one code returns the same tuple."""
+    return code._words
 
 
 def weight_distribution(code: TernaryCode) -> dict[int, int]:
     """Hamming weight histogram over the full codeword enumeration."""
-    counts = Counter(len(w) - w.count(0) for w in enumerate_codewords(code))
-    return dict(sorted(counts.items()))
+    n = len(code.generator[0])
+    zeros = Counter(map(tuple.count, enumerate_codewords(code), repeat(0)))
+    return dict(sorted((n - z, count) for z, count in zeros.items()))
 
 
 def minimum_distance(code: TernaryCode) -> int:
@@ -89,9 +99,19 @@ def is_self_dual(code: TernaryCode) -> bool:
 
 
 def weight6_supports(code: TernaryCode) -> set[frozenset[Point]]:
-    """Supports of the weight-6 codewords, as sets of cap points."""
+    """Supports of the weight-6 codewords, as sets of cap points.
+
+    A word and its negative share a support, and of the two exactly one has
+    a coefficient tuple whose first nonzero entry is 1: in the enumeration
+    order, the words at indices 3**k to 2 * 3**k - 1 for each k.  Only those are
+    read, so the Golay code gives one set per distinct support.
+    """
+    words = enumerate_codewords(code)
+    halves = [words[3**k:2 * 3**k] for k in range(len(code.generator))]
+    zeros = len(code.generator[0]) - 6
     return {
         frozenset(compress(code.column_points, w))
-        for w in enumerate_codewords(code)
-        if len(w) - w.count(0) == 6
+        for half in halves
+        for w, z in zip(half, map(tuple.count, half, repeat(0)))
+        if z == zeros
     }

@@ -146,12 +146,6 @@ def classify_conic_plane(c: Conic) -> ConicPartition:
     return ConicPartition(internal=rest - touched, external=rest & touched)
 
 
-def symmetric_matrix(y: Sequence[int]) -> Matrix:
-    """Read a PG(5,3) coordinate tuple as a symmetric 3x3 matrix."""
-    y0, y1, y2, y3, y4, y5 = (v % 3 for v in y)
-    return ((y0, y1, y2), (y1, y3, y4), (y2, y4, y5))
-
-
 def chordal_cubic_contains(y: Sequence[int]) -> bool:
     """True iff the point lies on a chord (bisecant or tangent) of the
     surface, i.e. its symmetric matrix has rank <= 2: the closed-form

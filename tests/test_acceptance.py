@@ -123,7 +123,7 @@ def test_criterion_08_layer_elations_and_their_extension(model, base):
     system = cosets.conic_layers(model, base)
     ok = True
     for k in cosets.LABEL_ORDER:
-        kappa = system.layer_elations[k]
+        kappa = dict(zip(system.plane_points[k], system.elation_powers[k][1]))
         for j in (0, 1, 2):
             image = {kappa[p] for p in system.layers[(k, j)]}
             ok = ok and image == system.layers[(k, (j + 1) % 3)]

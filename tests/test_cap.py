@@ -422,13 +422,13 @@ def test_automorphism_order_matches_brute_force(small_block_systems):
         assert capmod.automorphism_order(d) == _brute_force_order(d), d
 
 
-def test_automorphism_order_ignores_a_swapped_in_outside_point(small_block_systems):
+def test_automorphism_order_ignores_a_swapped_in_outside_point(model, small_block_systems):
     # a block that swaps one of its points for a point outside the design
-    # counts as the block of its remaining points (on the Witt design that
-    # search takes seconds, so small designs and rigid sets stand in)
+    # counts as the block of its remaining points
     designs = [_as_design(masks, n) for masks, n in small_block_systems if masks and masks[0]]
     rng = random.Random(5)
     designs += [capmod.blocks(rng.sample(pg.enumerate_points(5), 12)) for _ in range(3)]
+    designs.append(_witt_design(model, (1, 0, 0)))
     for d in designs:
         outsider = next(p for p in pg.enumerate_points(5) if p not in d.points)
         kept = d.blocks[0].points - {min(d.blocks[0].points)}
@@ -441,21 +441,43 @@ def test_automorphism_order_ignores_a_swapped_in_outside_point(small_block_syste
 @pytest.mark.parametrize("pre", [(1, 0, 0), (0, 1, 2), (1, 2, 2)], ids=pg.format_point)
 def test_stabiliser_chain_generators_on_the_witt_design(model, pre, checked_chain):
     # sharply 5-transitive: orbits 12, 11, 10, 9, 8, then the identity
-    orbit_lengths, _ = checked_chain(capmod._block_masks(_witt_design(model, pre)), 12)
+    orbit_lengths, _ = checked_chain(_witt_design(model, pre)._block_masks, 12)
     assert orbit_lengths == (12, 11, 10, 9, 8, 1, 1, 1, 1, 1, 1, 1)
 
 
-@pytest.mark.parametrize(
-    "quad, order",
-    [((0, 0, 0, 0), 432), ((1, 0, 0, 0), 95040), ((2, 0, 0, 0), 432)],
-    ids=["surface", "cap", "exotic"],
-)
-def test_automorphism_order_of_layer_set_representatives(model, base, quad, order):
-    pts = sorted(cosets.twelve_set(model, base, quad).points)
-    m = _random_collineation(random.Random(sum(quad)))
-    moved = pg.apply_collineation(m, pts)
-    assert capmod.automorphism_order(capmod.blocks(pts)) == order
-    assert capmod.automorphism_order(capmod.blocks(moved)) == order
+def test_automorphism_order_of_every_layer_set(model):
+    # all 81 layer sets at all 13 bases: the cap class (quadruple sum 1) is
+    # a Witt design, order 95040; the surface and exotic classes have 432.
+    # The order is an invariant, so a copy of the class representatives
+    # moved by a random collineation must give it too.
+    orders = Counter()
+    rng = random.Random(31)
+    for pre in pg.enumerate_points(2):
+        base = veronese_map(pre)
+        for quad in itertools.product(range(3), repeat=4):
+            pts = sorted(cosets.twelve_set(model, base, quad).points)
+            order = capmod.automorphism_order(capmod.blocks(pts))
+            assert order == (95040 if sum(quad) % 3 == 1 else 432), (pre, quad)
+            orders[order] += 1
+            if quad in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)):
+                moved = pg.apply_collineation(_random_collineation(rng), pts)
+                assert capmod.automorphism_order(capmod.blocks(moved)) == order, (pre, quad)
+    assert orders == {95040: 13 * 27, 432: 13 * 54}
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_automorphism_order_of_a_block_cut_to_five_points(model, pre):
+    # a 5-subset lies in one block, so cutting that block to the 5-subset
+    # leaves the setwise stabiliser of the 5-subset in M12: S5, order 120
+    # (ATLAS of Finite Groups), not a count from the search
+    witt = _witt_design(model, pre)
+    for i in (0, 37, 65, 131):
+        block = witt.blocks[i]
+        for drop in sorted(block.points)[::5]:
+            cut = dataclasses.replace(block, points=block.points - {drop})
+            blocks = witt.blocks[:i] + (cut,) + witt.blocks[i + 1:]
+            design = dataclasses.replace(witt, blocks=blocks)
+            assert capmod.automorphism_order(design) == 120, (i, drop)
 
 
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)

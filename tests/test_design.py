@@ -20,7 +20,7 @@ def _cover_count_cases(design):
             if masks:
                 masks += [0, masks[0], masks[-1] & rng.getrandbits(n)]
             cases.append((masks, n))
-    return cases + [(capmod._block_masks(design), 12)]
+    return cases + [(design._block_masks, 12)]
 
 
 def test_cover_counts_match_brute_force(design):
@@ -67,26 +67,27 @@ def test_stabiliser_chain_generators_on_small_designs(small_block_systems, check
         assert len(group) == math.prod(orbit_lengths), (masks, n)
 
 
-class _SetLookup(frozenset):
-    """A set read like the cover table: lookup[m] is whether m is a member."""
-    __getitem__ = frozenset.__contains__
-
-
-def _submask_walk(masks, n):
-    """The search's former `coverable`: every submask of every block, by the
-    walk sub -> (sub - 1) & bm, plus 0."""
-    coverable = {0}
+def _presence_table(masks, n):
+    """Byte m is 1 if subset m lies in some block, else 0: every submask of
+    every block, by the walk sub -> (sub - 1) & bm, plus 0."""
+    table = bytearray(1 << n)
+    table[0] = 1
     for bm in masks:
         sub = bm
         while sub:
-            coverable.add(sub)
+            table[sub] = 1
             sub = (sub - 1) & bm
-    return _SetLookup(coverable)
+    return bytes(table)
 
 
-def test_stabiliser_chain_matches_the_submask_walk(model, base, monkeypatch, small_block_systems):
-    # the same base, orbit lengths and generators, in the same order, when
-    # the search reads `coverable` from the set-based walk
+def test_stabiliser_chain_matches_the_submask_walk(
+    model, base, monkeypatch, small_block_systems
+):
+    # On a 0/1 presence table, matching a prefix's count is the former rule:
+    # its image must lie in some block.  Both rules cut only branches with no
+    # automorphism below them, and the base does not depend on the table, so
+    # the depth-first search meets the same first map at each candidate: the
+    # same base, orbit lengths and generators, in the same order.
     twelve_sets = [capmod.build_cap(model, veronese_map(pre)).points
                    for pre in pg.enumerate_points(2)]
     twelve_sets += [
@@ -95,8 +96,17 @@ def test_stabiliser_chain_matches_the_submask_walk(model, base, monkeypatch, sma
     ]
     rng = random.Random(8)
     twelve_sets += [rng.sample(pg.enumerate_points(5), 12) for _ in range(8)]
-    systems = [(capmod._block_masks(capmod.blocks(s)), 12) for s in twelve_sets]
+    systems = [(capmod.blocks(s)._block_masks, 12) for s in twelve_sets]
     systems += small_block_systems
     chains = [designmod.stabiliser_chain(masks, n) for masks, n in systems]
-    monkeypatch.setattr(designmod, "cover_counts", _submask_walk)
+    monkeypatch.setattr(designmod, "cover_counts", _presence_table)
     assert [designmod.stabiliser_chain(masks, n) for masks, n in systems] == chains
+
+
+def test_weight_lanes_select_the_subsets_of_each_size():
+    for n in range(9):
+        lanes = designmod._weight_lanes(n)
+        assert len(lanes) == n + 1
+        for k, ones in enumerate(lanes):
+            want = bytes(m.bit_count() == k for m in range(1 << n))
+            assert ones.to_bytes(1 << n, "little") == want, (n, k)

@@ -194,3 +194,22 @@ def test_mat_mul_at_the_largest_inner_dimension():
 def test_mat_mul_refuses_bad_shapes_and_entries(a, b, message):
     with pytest.raises(ValueError, match=message):
         gf3.mat_mul(a, b)
+
+
+@pytest.mark.parametrize("kernel", [gf3.rref, gf3.rank, gf3.row_basis, gf3.nullspace],
+                         ids=["rref", "rank", "row_basis", "nullspace"])
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (((1,), (1, 2)), "ragged matrix"),        # the longer row was truncated
+        (((1, 2), (1,)), "ragged matrix"),        # an IndexError past the shorter row
+        (((1, 2), (0,)), "ragged matrix"),
+        (((5, 0), (0, 1)), "entries must be 0, 1 or 2"),   # the 5 was kept
+        (((1, -1),), "entries must be 0, 1 or 2"),
+        (((0, 3),), "entries must be 0, 1 or 2"),
+    ],
+    ids=["long_last", "short_last", "short_zero", "five", "negative", "unreduced"],
+)
+def test_elimination_refuses_bad_shapes_and_entries(kernel, m, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(m)

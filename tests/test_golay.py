@@ -93,6 +93,11 @@ def test_codeword_order_is_coefficient_lex_order(code, rank5):
     words = golay.enumerate_codewords(code)
     assert words == expected  # element by element, duplicates included
     assert len(set(words)) == (243 if rank5 else 729)
+    # weight6_supports reads one word of each negation pair, by position
+    assert golay.weight6_supports(code) == {
+        frozenset(p for p, x in zip(code.column_points, w) if x)
+        for w in expected if w.count(0) == 6
+    }
 
 
 def _random_rows(seed, k, n, entries):
@@ -120,18 +125,24 @@ def test_lane_encoding_matches_the_direct_product(code, rows):
     assert lanes == expected  # element by element
 
 
-def test_weight_distribution_by_independent_enumeration(code):
-    # oracle: recompute every codeword directly from coefficient tuples
-    counts = {}
-    for coeffs in itertools.product((0, 1, 2), repeat=6):
-        word = [0] * 12
-        for c, row in zip(coeffs, code.generator):
-            for j, x in enumerate(row):
-                word[j] = (word[j] + c * x) % 3
-        w = sum(1 for x in word if x)
-        counts[w] = counts.get(w, 0) + 1
-    assert counts == EXPECTED_WEIGHTS
-    assert golay.weight_distribution(code) == EXPECTED_WEIGHTS
+def test_weight_distribution_by_independent_enumeration(model):
+    # oracle: recompute every codeword directly from coefficient tuples, at
+    # every base, for the weights and the weight-6 supports
+    for pre in pg.enumerate_points(2):
+        code = golay.generator_matrix(capmod.build_cap(model, veronese_map(pre)))
+        counts, supports = {}, set()
+        for coeffs in itertools.product((0, 1, 2), repeat=6):
+            word = [0] * 12
+            for c, row in zip(coeffs, code.generator):
+                for j, x in enumerate(row):
+                    word[j] = (word[j] + c * x) % 3
+            support = frozenset(p for p, x in zip(code.column_points, word) if x)
+            counts[len(support)] = counts.get(len(support), 0) + 1
+            if len(support) == 6:
+                supports.add(support)
+        assert counts == EXPECTED_WEIGHTS, pre
+        assert golay.weight_distribution(code) == EXPECTED_WEIGHTS, pre
+        assert golay.weight6_supports(code) == supports, pre
 
 
 def test_minimum_distance_is_six(code):
@@ -176,3 +187,13 @@ def test_weight6_supports_are_the_design_blocks(code, design):
     supports = golay.weight6_supports(code)
     assert len(supports) == 132  # 264 words in negation pairs
     assert supports == {b.points for b in design.blocks}
+
+
+def test_codewords_are_enumerated_once_per_code(code, design):
+    assert golay.enumerate_codewords(code) is golay.enumerate_codewords(code)
+    # a replaced code or design is a new object, with nothing cached
+    assert len(design._block_masks) == 132
+    for obj, memo in ((code, "_words"), (design, "_block_masks")):
+        assert memo in vars(obj)
+        assert memo not in vars(dataclasses.replace(obj))
+

@@ -187,9 +187,13 @@ def test_chordal_cubic_on_surface_and_off(model):
     assert not chordal_cubic_contains((1, 0, 0, 1, 0, 1))  # identity matrix point
 
 
-def test_chordal_cubic_matches_rank_condition():
-    from wittcap.veronese import symmetric_matrix
+def symmetric_matrix(y):
+    """Read a PG(5,3) coordinate tuple as a symmetric 3x3 matrix."""
+    y0, y1, y2, y3, y4, y5 = (v % 3 for v in y)
+    return ((y0, y1, y2), (y1, y3, y4), (y2, y4, y5))
 
+
+def test_chordal_cubic_matches_rank_condition():
     for y in pg.enumerate_points(5):
         assert chordal_cubic_contains(y) == (gf3.rank(symmetric_matrix(y)) <= 2)
 
