@@ -445,6 +445,19 @@ def test_stabiliser_chain_generators_on_the_witt_design(model, pre, checked_chai
     assert orbit_lengths == (12, 11, 10, 9, 8, 1, 1, 1, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "quad, order",
+    [((0, 0, 0, 0), 432), ((1, 0, 0, 0), 95040), ((2, 0, 0, 0), 432)],
+    ids=["surface", "cap", "exotic"],
+)
+def test_automorphism_order_of_layer_set_representatives(model, base, quad, order):
+    pts = sorted(cosets.twelve_set(model, base, quad).points)
+    m = _random_collineation(random.Random(sum(quad)))
+    moved = pg.apply_collineation(m, pts)
+    assert capmod.automorphism_order(capmod.blocks(pts)) == order
+    assert capmod.automorphism_order(capmod.blocks(moved)) == order
+
+
 def test_automorphism_order_of_every_layer_set(model):
     # all 81 layer sets at all 13 bases: the cap class (quadruple sum 1) is
     # a Witt design, order 95040; the surface and exotic classes have 432.
