@@ -148,9 +148,10 @@ def missed_primes(cap: CapSet | Iterable[Point]) -> tuple[Hyperplane, ...]:
 
 
 def is_cap(points: Iterable[Point]) -> bool:
-    """No three of the points collinear.  A point that is not canonical
-    raises ValueError: as written, it would never be found on a line."""
-    pts = sorted(points)
+    """No three of the points collinear; a repeated point counts once.  A
+    point that is not canonical raises ValueError: as written, it would never
+    be found on a line."""
+    pts = sorted(set(points))
     bad = next((p for p in pts if pg.canonical_point(p) != p), None)
     if bad is not None:
         space = f"PG({len(bad) - 1},3)"

@@ -56,22 +56,6 @@ Quadruple = tuple[int, int, int, int]
 
 CLASS_NAMES = {0: "surface", 1: "cap", 2: "exotic"}
 
-# The space elation fixing the prime {y22 = 0} pointwise and the base point
-# (1,0,0,0,0,0) linewise that extends the label-0 layer elation trivially and
-# the other three in their cycling direction: it adds y22 to y00.  It is the
-# paper's reference matrix; the label-0 space elation of conic_layers must
-# reproduce it at that base.
-BASE_EXTENSION = pg.collineation(
-    (
-        (1, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 0),
-        (0, 0, 1, 0, 0, 0),
-        (0, 0, 0, 1, 0, 0),
-        (0, 0, 0, 0, 1, 0),
-        (1, 0, 0, 0, 0, 1),
-    )
-)
-
 _PLANE_AT_INFINITY: Hyperplane = (1, 0, 0)   # line {x0 = 0} of the parameter plane
 
 
@@ -97,15 +81,32 @@ class TwelveSet:
 
 @dataclass(frozen=True, eq=False)
 class OrbitReport:
+    """The orbit check's witnesses; each verdict is recomputed from them."""
     group_order: int
-    powers_sum_zero: bool        # every induced power quadruple sums to 0 mod 3
-    powers_bijective: bool       # group -> quadruples is one-to-one
-    joint_unit_extension: bool   # some element induces all four first powers
+    induced_quadruples: dict[Collineation, Quadruple]   # each element's power quadruple
+    # each quadruple reached from (0,0,0,0), resp. (1,1,1,1), with an element reaching it
     surface_witnesses: dict[Quadruple, Collineation]
     cap_witnesses: dict[Quadruple, Collineation]
-    surface_complete: bool
-    cap_complete: bool
-    induced_quadruples: dict[Collineation, Quadruple]
+
+    @property
+    def powers_sum_zero(self) -> bool:      # every power quadruple sums to 0 mod 3
+        return all(sum(q) % 3 == 0 for q in self.induced_quadruples.values())
+
+    @property
+    def powers_bijective(self) -> bool:     # no two elements induce one quadruple
+        return len(set(self.induced_quadruples.values())) == len(self.induced_quadruples)
+
+    @property
+    def joint_unit_extension(self) -> bool:     # some element induces all first powers
+        return (1, 1, 1, 1) in self.induced_quadruples.values()
+
+    @property
+    def surface_complete(self) -> bool:     # (0,0,0,0) reaches the whole sum-0 class
+        return set(self.surface_witnesses) == {q for q in all_quadruples() if sum(q) % 3 == 0}
+
+    @property
+    def cap_complete(self) -> bool:     # (1,1,1,1) reaches the whole sum-1 class
+        return set(self.cap_witnesses) == {q for q in all_quadruples() if sum(q) % 3 == 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,22 +292,26 @@ def group_closure(
 ) -> dict[Collineation, Mapping[Point, Point]]:
     """The group the collineations generate, each element (canonical matrix)
     with its action on the points.  Only the generators are applied; a
-    product g h (g first) acts as p -> h(g(p)).  Every generator must map the
-    points into themselves; one that does not raises with the point.  A
-    product is multiplied out only when its action, as point indices, is new;
-    the points must determine collineations, or that would not be exact."""
+    product g h (g first) acts as p -> h(g(p)).  Every generator must permute
+    the points; the first point it sends off them, or onto an earlier point's
+    image, raises with both.  A product is multiplied out only when its
+    action, as point indices, is new; the points must determine
+    collineations, or that would not be exact."""
     points = tuple(dict.fromkeys(points))
     index = {p: i for i, p in enumerate(points)}
     gens = []
     for g in generators:
         g = pg.canonical_collineation(g)
         images = pg.apply_collineation(g, points)
-        off = next((i for i, q in enumerate(images) if q not in index), None)
-        if off is not None:
-            raise ValueError(
-                f"generator {g} sends {pg.format_point(points[off])} to "
-                f"{pg.format_point(images[off])}, off the point set"
-            )
+        if index.keys() != set(images):     # not a permutation: name the first point at fault
+            first: dict[Point, Point] = {}
+            for p, q in zip(points, images):
+                if q in first or q not in index:
+                    why = (f"the image of {pg.format_point(first[q])} too" if q in first
+                           else "off the point set")
+                    raise ValueError(
+                        f"generator {g} sends {pg.format_point(p)} to {pg.format_point(q)}, {why}")
+                first[q] = p
         gens.append((g, tuple(map(index.__getitem__, images))))
     if not pg.determines_collineations(points):
         raise ValueError("a collineation other than the identity fixes every point")
@@ -329,14 +334,15 @@ def group_closure(
 
 
 def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
-    """Generate the group of extended layer elations and check its action.
+    """Generate the group of extended layer elations and record its action.
 
     The group must have order 27, each element must induce a quadruple of
     layer-elation powers summing to 0 mod 3 (bijectively), and its orbits on
     the base twelve-sets must cover the whole sum-0 class and the whole sum-1
-    class.  No element induces the all-first-powers quadruple.  The power
-    quadruples and the images of the start sets are read from each element's
-    action on the four conic planes, as group_closure carries it.
+    class.  No element induces the all-first-powers quadruple.  The report
+    holds the power quadruples and the first element to reach each set from
+    (0,0,0,0) and from (1,1,1,1), read from each element's action on the four
+    conic planes, as group_closure carries it; its verdicts read those maps.
     """
     system = conic_layers(model, base)
     support = sorted(set().union(*system.plane_points.values()))
@@ -354,12 +360,7 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     for g, powers in induced.items():
         if powers is None:
             raise ValueError(f"group element {g} does not induce layer elations")
-    sums_ok = all(sum(q) % 3 == 0 for q in induced.values())
-    bijective = len(set(induced.values())) == len(group)
-    joint_unit = any(q == (1, 1, 1, 1) for q in induced.values())
-    sets_by_points = {
-        twelve_set(model, base, q).points: q for q in all_quadruples()
-    }
+    sets_by_points = {twelve_set(model, base, q).points: q for q in all_quadruples()}
     witnesses: dict[int, dict[Quadruple, Collineation]] = {0: {}, 1: {}}
     for cls, rep in ((0, (0, 0, 0, 0)), (1, (1, 1, 1, 1))):
         start = twelve_set(model, base, rep).points
@@ -367,18 +368,11 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
             q = sets_by_points.get(frozenset(map(actions[g].__getitem__, start)))
             if q is not None and q not in witnesses[cls]:
                 witnesses[cls][q] = g
-    surface_quads = {q for q in all_quadruples() if sum(q) % 3 == 0}
-    cap_quads = {q for q in all_quadruples() if sum(q) % 3 == 1}
     return OrbitReport(
         group_order=len(group),
-        powers_sum_zero=sums_ok,
-        powers_bijective=bijective,
-        joint_unit_extension=joint_unit,
+        induced_quadruples=induced,
         surface_witnesses=witnesses[0],
         cap_witnesses=witnesses[1],
-        surface_complete=set(witnesses[0]) == surface_quads,
-        cap_complete=set(witnesses[1]) == cap_quads,
-        induced_quadruples=induced,
     )
 
 
@@ -391,9 +385,10 @@ def _projection_frame(
     target: the four lines cut by the conic planes (read-only), the
     transversal cut by the tangent plane, the line points off the
     transversal, and the image of each of the 36 layer points, the only
-    points a twelve-set holds (read-only).  Each cut is read as the plane's
-    points on the target.  The lines must be mutually skew and each must
-    meet the transversal once; a violation raises."""
+    points a twelve-set holds, under one product with the projection matrix
+    (read-only).  Each cut is read as the plane's points on the target.  The
+    lines must be mutually skew and each must meet the transversal once; a
+    violation raises."""
     if pg.incident(base, target):
         raise ValueError("target prime contains the base point")
     system = conic_layers(model, base)
@@ -412,16 +407,19 @@ def _projection_frame(
         if len(set(transversal) & set(lines[k])) != 1:
             raise ValueError("transversal fails to meet a projected line once")
     off_transversal = frozenset().union(*lines.values()) - set(transversal)
-    images = {x: _project(base, target, x) for layer in system.layers.values() for x in layer}
+    points = [x for layer in system.layers.values() for x in layer]
+    projected = gf3.mat_mul(points, _projection_matrix(base, target))
+    images = dict(zip(points, map(pg.canonical_point, projected)))
     return MappingProxyType(lines), transversal, off_transversal, MappingProxyType(images)
 
 
-def _project(base: Point, target: Hyperplane, x: Point) -> Point:
-    """Where the line from the base through x != base meets the target prime:
-    the combination (b.h) x - (x.h) b of the two points, which pairs to zero
-    with h."""
-    bh, xh = gf3.dot(base, target), gf3.dot(x, target)
-    return pg.canonical_point(bh * a - xh * b for a, b in zip(x, base, strict=True))
+def _projection_matrix(base: Point, target: Hyperplane) -> gf3.Matrix:
+    """The projection from the base b onto the target prime h as the matrix
+    (b.h) I - h^T b: it sends x to (b.h) x - (x.h) b, the point where the line
+    from b through x != b meets h, and its kernel is the base."""
+    bh = gf3.dot(base, target)
+    return gf3.mat((bh * (i == j) - a * b for j, b in enumerate(base))
+                   for i, a in enumerate(target))
 
 
 def project_from_base(

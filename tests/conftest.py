@@ -20,6 +20,25 @@ def base(model):
 
 
 @pytest.fixture(scope="session")
+def base_extension():
+    """The space elation fixing the prime {y22 = 0} pointwise and the base
+    point (1,0,0,0,0,0) linewise that extends the label-0 layer elation
+    trivially and the other three in their cycling direction: it adds y22 to
+    y00.  It is the paper's reference matrix; the label-0 space elation of
+    cosets.conic_layers must reproduce it at that base."""
+    return pg.collineation(
+        (
+            (1, 0, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1, 0),
+            (1, 0, 0, 0, 0, 1),
+        )
+    )
+
+
+@pytest.fixture(scope="session")
 def internal_partner(model):
     """The reference the closed forms are checked against: the internal
     point of the conic through the base and the surface point y that lies on

@@ -119,7 +119,7 @@ def test_criterion_07_spanning_vector_identities():
     _report(7, ok and checked == 24, "spanning-vector and rescaling identities hold")
 
 
-def test_criterion_08_layer_elations_and_their_extension(model, base):
+def test_criterion_08_layer_elations_and_their_extension(model, base, base_extension):
     system = cosets.conic_layers(model, base)
     ok = True
     for k in cosets.LABEL_ORDER:
@@ -128,7 +128,7 @@ def test_criterion_08_layer_elations_and_their_extension(model, base):
             image = {kappa[p] for p in system.layers[(k, j)]}
             ok = ok and image == system.layers[(k, (j + 1) % 3)]
     mu0 = system.space_elations[0]
-    ok = ok and mu0 == cosets.BASE_EXTENSION
+    ok = ok and mu0 == base_extension
     support = tuple(set().union(*system.plane_points.values()))
     act = dict(zip(support, pg.apply_collineation(mu0, support)))
     ok = ok and cosets.induced_layer_powers(model, base, act) == (0, 1, 1, 1)

@@ -75,6 +75,13 @@ def test_is_cap_refuses_a_point_that_is_not_canonical():
     assert not capmod.is_cap([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)])
 
 
+def test_is_cap_reads_a_repeated_point_once(cap):
+    # a point listed twice is one point, not a collinear triple with a third
+    p, q = sorted(cap.points)[:2]
+    assert capmod.is_cap([p, p, q])
+    assert capmod.is_cap([*cap.points, p])
+
+
 def test_cap_for_every_base_point(model):
     # the construction is projectively homogeneous
     for p in model.points:

@@ -223,7 +223,7 @@ def test_cached_geometry_is_read_only(model, base, system):
     with pytest.raises(TypeError):
         system.elation_powers[0] = ()
     with pytest.raises(TypeError):
-        system.space_elations[0] = cosets.BASE_EXTENSION
+        system.space_elations[0] = system.space_elations[1]
     assert cosets.conic_layers(model, base).elation_powers[0][0] == system.plane_points[0]
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
     target = system.target
@@ -265,9 +265,9 @@ def test_next_layer_is_internal_points_of_previous_layer_conic(
             assert internal == system.layers[(k, (j + 1) % 3)]
 
 
-def test_base_extension_is_the_expected_literal(system):
+def test_base_extension_is_the_expected_literal(system, base_extension):
     mu0 = system.space_elations[0]
-    assert mu0 == cosets.BASE_EXTENSION
+    assert mu0 == base_extension
     assert pg.apply_collineation(mu0, [(0, 0, 0, 0, 0, 1)]) == ((1, 0, 0, 0, 0, 1),)
 
 
@@ -423,6 +423,32 @@ def test_orbit_report(model, base):
     assert len(report.cap_witnesses) == 27
 
 
+def test_orbit_verdicts_are_read_from_the_witnesses(model, base):
+    # the report holds the order and three maps; each verdict is recomputed
+    # from the maps, so an edited map changes it
+    report = cosets.verify_orbit_equivalence(model, base)
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "group_order", "induced_quadruples", "surface_witnesses", "cap_witnesses"]
+    induced = report.induced_quadruples
+    g, h = list(induced)[:2]
+    verdicts = ("powers_sum_zero", "powers_bijective", "joint_unit_extension",
+                "surface_complete", "cap_complete")
+    for change, flipped in (
+        ({"induced_quadruples": {**induced, g: (1, 0, 0, 0)}}, {"powers_sum_zero"}),
+        ({"induced_quadruples": {**induced, g: induced[h]}}, {"powers_bijective"}),
+        # (1,1,1,1) sums to 1, so it also breaks the sum-0 verdict
+        ({"induced_quadruples": {**induced, g: (1, 1, 1, 1)}},
+         {"joint_unit_extension", "powers_sum_zero"}),
+        ({"surface_witnesses": dict(list(report.surface_witnesses.items())[1:])},
+         {"surface_complete"}),
+        ({"cap_witnesses": {**report.cap_witnesses, (0, 0, 0, 0): g}}, {"cap_complete"}),
+    ):
+        edited = dataclasses.replace(report, **change)
+        assert {v for v in verdicts if getattr(edited, v) != getattr(report, v)} == flipped
+    # the bijection is judged against the map, not against the stated order
+    assert dataclasses.replace(report, group_order=26).powers_bijective
+
+
 def test_orbit_witnesses_actually_witness(model, base):
     report = cosets.verify_orbit_equivalence(model, base)
     start0 = tuple(cosets.twelve_set(model, base, (0, 0, 0, 0)).points)
@@ -567,27 +593,31 @@ def test_projection_transversal_is_unique(model, base):
 
 @pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
 def test_closed_form_projection_matches_line_through(model, pre):
-    # (b.h) x - (x.h) b is the one point of the line from the base through x
-    # that lies on the target, for every point x off the base
+    # x (b.h) I - x h^T b = (b.h) x - (x.h) b is the one point of the line from
+    # the base through x that lies on the target, for all 363 points x off the
+    # base, and the base itself goes to zero
     b = veronese_map(pre)
     h = cosets.conic_layers(model, b).target
-    for x in pg.enumerate_points(5):
-        if x == b:
-            continue
+    rest = [x for x in pg.enumerate_points(5) if x != b]
+    projection = cosets._projection_matrix(b, h)
+    assert not any(gf3.mat_mul([b], projection)[0])
+    for x, y in zip(rest, gf3.mat_mul(rest, projection), strict=True):
         (hit,) = [p for p in pg.line_through(b, x) if pg.incident(p, h)]
-        assert cosets._project(b, h, x) == hit
+        assert pg.canonical_point(y) == hit
 
 
 def test_projection_rejects_a_point_projected_off_the_target(model, base, monkeypatch):
-    # the frame reads _project once per target: build it from the forgery,
-    # and drop the forged frame afterwards
+    # the frame reads the projection matrix once per target: build it from an
+    # identity, which leaves each set point where it is, and drop the forged
+    # frame afterwards
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
     target = cosets.conic_layers(model, base).target
-    off = next(p for p in pg.enumerate_points(5) if not pg.incident(p, target))
-    monkeypatch.setattr(cosets, "_project", lambda b, h, x: off)
+    stray = min(s.points - cosets._projection_frame(model, base, target)[2])
+    assert not pg.incident(stray, target)
+    monkeypatch.setattr(cosets, "_projection_matrix", lambda b, h: gf3.identity(6))
     cosets._projection_frame.cache_clear()
     try:
-        with pytest.raises(ValueError, match=f"differ at {pg.format_point(off)}$"):
+        with pytest.raises(ValueError, match=f"differ at {pg.format_point(stray)}$"):
             cosets.project_from_base(model, base, s, target)
     finally:
         cosets._projection_frame.cache_clear()
@@ -778,6 +808,18 @@ def test_group_closure_names_a_generator_that_leaves_the_point_set():
         f"generator {swap} sends 1:0:0:0:0:0 to 0:0:0:1:0:0, off the point set"
     )):
         cosets.group_closure([swap], points)
+
+
+def test_group_closure_names_a_generator_that_does_not_permute_the_point_set():
+    # a singular matrix, defined off its kernel point (0,0,1): it sends the
+    # other 12 points of PG(2,3) onto the 4 points of the line {x2 = 0}, all
+    # inside the set, and used to close into a "group" of order 2
+    singular = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
+    points = [p for p in pg.enumerate_points(2) if p != (0, 0, 1)]
+    with pytest.raises(ValueError, match=re.escape(
+        f"generator {singular} sends 0:1:1 to 0:1:0, the image of 0:1:0 too"
+    )):
+        cosets.group_closure([singular], points)
 
 
 # Per-point reference routines: each collineation image by an explicit

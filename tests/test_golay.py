@@ -172,6 +172,26 @@ def test_self_dual_rejects_counterexample(code):
     assert not golay.is_self_dual(bad)
 
 
+def test_self_dual_reads_every_generator_row(code):
+    # rows 0-5 are pairwise orthogonal and span rank 6 with the 7th row, but
+    # the 7th row has dot 1 with itself
+    g = code.generator
+    unit = (1,) + (0,) * 11
+    rows = (g[0],) + g[:5] + (unit,)
+    assert gf3.rank(rows) == 6 and gf3.dot(unit, unit) == 1
+    bad = golay.TernaryCode(generator=rows, column_points=code.column_points)
+    assert not golay.is_self_dual(bad)
+
+
+@pytest.mark.parametrize("extra", [1, 2], ids=["odd length 13", "dimension 6 of 14"])
+def test_self_dual_needs_rank_half_the_length(code, extra):
+    # zero columns keep every row orthogonal, but the row space is no longer
+    # its own dual: its dimension must be half the length
+    rows = tuple(row + (0,) * extra for row in code.generator)
+    bad = golay.TernaryCode(generator=rows, column_points=code.column_points)
+    assert not golay.is_self_dual(bad)
+
+
 def test_hyperplane_incidence_vectors_are_codewords(code):
     # with self-duality, zero patterns of codewords match prime sections:
     # for every prime, the vector of its values at the columns is a codeword

@@ -4,14 +4,46 @@ from pathlib import Path
 
 import wittcap
 
+SRC = Path(wittcap.__file__).parent
+# every library and bench module, parsed once for all the rules below
+LIBRARY = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+BENCH = {
+    path: ast.parse(path.read_text())
+    for path in sorted((SRC.parents[1] / "bench").glob("*.py"))
+}
+NODES = {path: list(ast.walk(tree)) for path, tree in {**LIBRARY, **BENCH}.items()}
+# a name counts as read when the library reads it outside __init__.py, which
+# imports its modules to expose them, or when the bench reads it
+READERS = [path for path in NODES if path.name != "__init__.py"]
+
+
+def loaded(paths, kinds=(ast.Name, ast.Attribute)):
+    """The names the modules read: each Name id and Attribute attr in load
+    context, among the given node kinds."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in paths
+        for node in NODES[path]
+        if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def assert_all_read(unread, exempt):
+    """The reader rules' verdict.  unread maps each name with no reader to
+    where it is defined; every one must be exempt, and every exemption must
+    still name an unread name: one whose name is gone or read is stale."""
+    offenders = sorted(f"{where} {name}" for name, where in unread.items() if name not in exempt)
+    assert not offenders, "no reader: " + ", ".join(offenders)
+    stale = sorted(exempt.keys() - unread.keys())
+    assert not stale, "stale exemption: " + ", ".join(stale)
+
 
 def test_library_has_no_assert_statements():
     # verification must survive `python -O`, which strips assert statements
-    src = Path(wittcap.__file__).parent
     offenders = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        for path in LIBRARY
+        for node in NODES[path]
         if isinstance(node, ast.Assert)
     ]
     assert not offenders, "assert in " + ", ".join(offenders)
@@ -19,12 +51,11 @@ def test_library_has_no_assert_statements():
 
 def test_only_pg_reads_the_incidence_masks():
     # prime scans go through pg.section_sizes; the mask table stays inside pg
-    src = Path(wittcap.__file__).parent
     offenders = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
+        for path in LIBRARY
         if path.name != "pg.py"
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in NODES[path]
         if (isinstance(node, ast.Name) and node.id == "hyperplane_point_masks")
         or (isinstance(node, ast.Attribute) and node.attr == "hyperplane_point_masks")
         or (isinstance(node, ast.alias) and node.name == "hyperplane_point_masks")
@@ -34,12 +65,11 @@ def test_only_pg_reads_the_incidence_masks():
 
 def test_only_gf3_imports_the_product():
     # the GF(3) product lives in gf3; other modules multiply through gf3.mat_mul
-    src = Path(wittcap.__file__).parent
     offenders = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
+        for path in LIBRARY
         if path.name != "gf3.py"
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in NODES[path]
         if (isinstance(node, ast.ImportFrom) and node.module == "operator"
             and any(alias.name == "mul" for alias in node.names))
         or (isinstance(node, ast.Attribute) and node.attr == "mul"
@@ -51,9 +81,8 @@ def test_only_gf3_imports_the_product():
 def test_design_imports_only_the_standard_library():
     # the design kernels re-check counts without the PG(5,3) arithmetic; a
     # relative import reads as a name starting with "."
-    tree = ast.parse((Path(wittcap.__file__).parent / "design.py").read_text())
     modules = []
-    for node in ast.walk(tree):
+    for node in NODES[SRC / "design.py"]:
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -68,8 +97,8 @@ def test_verification_is_never_cached():
     checks = {"hyperplane_profile", "classify", "group_closure", "verify_orbit_equivalence",
               "project_from_base", "analyze_exotic", "verify_witt", "automorphism_order",
               "stabiliser_chain", "weight_distribution", "minimum_distance", "is_self_dual",
-              "code_rank", "weight6_supports"}
-    src = Path(wittcap.__file__).parent
+              "code_rank", "weight6_supports", "is_cap", "disjointness_check",
+              "vector_identity_check"}
 
     def cache_name(decorator):
         if isinstance(decorator, ast.Call):
@@ -78,8 +107,8 @@ def test_verification_is_never_cached():
 
     defined = [
         (path.name, node)
-        for path in sorted(src.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        for path in LIBRARY
+        for node in NODES[path]
         if isinstance(node, ast.FunctionDef) and node.name in checks
     ]
     assert {node.name for _, node in defined} == checks
@@ -92,60 +121,45 @@ def test_verification_is_never_cached():
     assert not offenders, "cached verification in " + ", ".join(offenders)
 
 
-def test_every_public_function_has_a_reader():
-    # a public function or method that neither the library nor the bench reads is dead
-    # code; the exempt ones are references kept for a check or a later use,
-    # and an exemption is stale once its name is gone or has gained a reader
+def test_every_public_name_has_a_reader():
+    # a public module-level function, class or name, or a public method of a
+    # module-level class, that neither the library nor the bench reads is dead
+    # code; an exemption names the ROADMAP item that will give it a reader.
+    # Private names and dunders start with "_" and are skipped.
     exempt = {
-        "is_cap": "the no-three-collinear check, not yet wired into a report",
-        "lift_collineation": "the PGL(3,3) lift, not yet wired into a report",
+        "cap.is_cap": "ROADMAP item 6: a row of the claims table",
+        "veronese.lift_collineation": "ROADMAP item 5: the transport between bases",
     }
-    src = Path(wittcap.__file__).parent
-    bench = src.parents[1] / "bench"
-    readers = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
-    read = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for path in readers + sorted(bench.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-    # module-level functions and the methods of module-level classes
-    public = [
-        (path.name, node)
-        for path in sorted(src.glob("*.py"))
-        for top in ast.parse(path.read_text()).body
-        for node in (top.body if isinstance(top, ast.ClassDef) else [top])
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    ]
-    unread = [
-        f"{name}:{node.lineno} {node.name}"
-        for name, node in public
-        if node.name not in read and node.name not in exempt
-    ]
-    assert not unread, "public function with no reader: " + ", ".join(unread)
-    stale = sorted((exempt.keys() - {node.name for _, node in public}) | (exempt.keys() & read))
-    assert not stale, "stale exemption: " + ", ".join(stale)
+    read = loaded(READERS)
+    unread = {}
+    for path, tree in LIBRARY.items():
+        for top in tree.body:
+            defined = [(top, path.stem)]
+            if isinstance(top, ast.ClassDef):
+                defined += [(node, f"{path.stem}.{top.name}") for node in top.body
+                            if isinstance(node, ast.FunctionDef)]
+            for node, owner in defined:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                else:
+                    targets = getattr(node, "targets", [getattr(node, "target", None)])
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                unread |= {
+                    f"{owner}.{name}": f"{path.name}:{node.lineno}"
+                    for name in names
+                    if not name.startswith("_") and name not in read
+                }
+    assert_all_read(unread, exempt)
 
 
 def test_every_dataclass_field_is_read():
     # a field that neither the library nor the bench reads as an attribute is
-    # a value built for nobody; the exempt ones are read by tests or kept for
-    # a report, and an exemption is stale once its field is gone or read
+    # a value built for nobody; an exemption names the ROADMAP item that will
+    # give it a reader
     exempt = {
-        "Block.prime": "the carrier prime",
-        "OrbitReport.surface_witnesses": "the orbit check's witnesses, printed by no report yet",
-        "OrbitReport.cap_witnesses": "the orbit check's witnesses, printed by no report yet",
-        "OrbitReport.induced_quadruples": "the orbit check's witnesses, printed by no report yet",
+        "Block.prime": "ROADMAP item 15: the certificate lists each block's prime",
     }
-    src = Path(wittcap.__file__).parent
-    bench = src.parents[1] / "bench"
-    readers = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
-    read = {
-        node.attr
-        for path in readers + sorted(bench.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    read = loaded(READERS, ast.Attribute)
 
     def is_dataclass(decorator):
         if isinstance(decorator, ast.Call):
@@ -154,79 +168,69 @@ def test_every_dataclass_field_is_read():
 
     fields = [
         (path.name, top.name, node)
-        for path in sorted(src.glob("*.py"))
-        for top in ast.parse(path.read_text()).body
+        for path, tree in LIBRARY.items()
+        for top in tree.body
         if isinstance(top, ast.ClassDef) and any(map(is_dataclass, top.decorator_list))
         for node in top.body
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
     ]
     assert fields
-    unread = [
-        f"{name}:{node.lineno} {cls}.{node.target.id}"
+    assert_all_read({
+        f"{cls}.{node.target.id}": f"{name}:{node.lineno}"
         for name, cls, node in fields
-        if node.target.id not in read and f"{cls}.{node.target.id}" not in exempt
-    ]
-    assert not unread, "dataclass field with no reader: " + ", ".join(unread)
-    declared = {f"{cls}.{node.target.id}": node.target.id for _, cls, node in fields}
-    stale = sorted(q for q in exempt if q not in declared or declared[q] in read)
-    assert not stale, "stale exemption: " + ", ".join(stale)
+        if node.target.id not in read
+    }, exempt)
 
 
 def test_every_imported_name_is_read():
-    # an import its module never reads is dead; the exempt bindings are read
-    # from outside, and an exemption is stale once its import is gone or read
+    # an import its module never reads is dead; an exemption names the bench
+    # pin that reads the binding from outside
     exempt = {
         "cosets.lift_collineation": "bench/selftest.py checks that the tracer wraps it",
         "cosets.veronese_map": "bench/selftest.py checks that the tracer wraps it",
     }
-    src = Path(wittcap.__file__).parent
-    unread = set()
+    unread = {}
     # the package __init__ imports its modules to expose them, not to read them
-    for path in sorted(p for p in src.glob("*.py") if p.name != "__init__.py"):
-        tree = ast.parse(path.read_text())
-        read = {
-            node.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
+    for path in LIBRARY:
+        if path.name == "__init__.py":
+            continue
+        read = loaded([path], ast.Name)
         unread |= {
-            f"{path.stem}.{alias.asname or alias.name.split('.')[0]}"
-            for node in ast.walk(tree)
+            f"{path.stem}.{alias.asname or alias.name.split('.')[0]}": f"{path.name}:{node.lineno}"
+            for node in NODES[path]
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and getattr(node, "module", None) != "__future__"
             for alias in node.names
             if (alias.asname or alias.name.split(".")[0]) not in read
         }
-    offenders = sorted(unread - exempt.keys())
-    assert not offenders, "imported name never read: " + ", ".join(offenders)
-    stale = sorted(exempt.keys() - unread)
-    assert not stale, "stale exemption: " + ", ".join(stale)
+    assert_all_read(unread, exempt)
 
 
 def test_every_parameter_is_read():
     # a parameter its function never reads is an argument every caller passes
-    # for nothing; the exempt ones keep a signature that callers rely on, and
-    # an exemption is stale once its parameter is gone or read
+    # for nothing; an exemption names the bench pin that passes it.  A cli
+    # handler cmd_* may leave model or args unread: the subcommand table
+    # calls every handler with both.
     exempt = {
         "cap.build_cap_from_formula.model": "bench/workloads.py calls it with this signature",
-        "cli.cmd_dump_veronese.args": "the subcommand table calls every handler with args",
     }
-    src = Path(wittcap.__file__).parent
     unread = {}
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path in LIBRARY:
+        for node in NODES[path]:
             if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 continue
             a = node.args
             params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
             params += [p.arg for p in (a.vararg, a.kwarg) if p]
+            name = getattr(node, "name", "lambda")
+            if path.name == "cli.py" and name.startswith("cmd_"):
+                params = [p for p in params if p not in ("model", "args")]
             read = {
                 n.id for n in ast.walk(node)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
             }
-            name = f"{path.stem}.{getattr(node, 'name', 'lambda')}"
-            unread |= {f"{name}.{p}": node.lineno for p in params if p not in read}
-    offenders = sorted(f"{q} (line {line})" for q, line in unread.items() if q not in exempt)
-    assert not offenders, "parameter never read: " + ", ".join(offenders)
-    stale = sorted(exempt.keys() - unread.keys())
-    assert not stale, "stale exemption: " + ", ".join(stale)
+            unread |= {
+                f"{path.stem}.{name}.{p}": f"{path.name}:{node.lineno}"
+                for p in params if p not in read
+            }
+    assert_all_read(unread, exempt)
