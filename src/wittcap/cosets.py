@@ -20,7 +20,8 @@ orbits sweep out the sum-0 and sum-1 classes.  The space elation of a
 conic with osculating prime a is the matrix I + a^T base; each layer elation
 is the restriction of the previous label's space elation to its conic plane.
 conic_layers builds, once per base, the one record that all of this reads:
-the labelled conics, their layers and plane points, the space and layer
+the labelled conics, their layers and plane points, the support (the 49
+plane points, which the orbit check acts on by index), the space and layer
 elations, the three class profiles and the default projection target.
 Exotic sets are studied by projecting from the base point: the four conic
 planes flatten to four mutually skew lines, the tangent plane to their
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import gf3, pg
 from .pg import Collineation, Hyperplane, Point
@@ -65,10 +66,11 @@ class LayerSystem:
     conics: Mapping[int, Conic]
     layers: Mapping[tuple[int, int], frozenset[Point]]
     plane_points: Mapping[int, tuple[Point, ...]]   # pg.flat_points of each conic plane
+    support: tuple[Point, ...]                      # the 49 plane points, sorted
     space_elations: Mapping[int, Collineation]      # by label
     # by label: the images of plane_points under the 0th, 1st and 2nd power
-    # of the layer elation
-    elation_powers: Mapping[int, tuple[tuple[Point, ...], ...]]
+    # of the layer elation, as indices into support
+    elation_powers: Mapping[int, tuple[tuple[int, ...], ...]]
     profiles: Mapping[int, Mapping[int, int]]       # hyperplane profile by class
     target: Hyperplane                              # first prime off the base
 
@@ -77,6 +79,12 @@ class LayerSystem:
 class TwelveSet:
     points: frozenset[Point]
     quadruple: Quadruple
+
+    @cached_property
+    def section_sizes(self) -> bytes:
+        """pg.section_sizes of the points, scanned once per set object; a
+        dataclasses.replace'd copy scans its own points again."""
+        return pg.section_sizes(5, self.points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +201,9 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         )
         for k in LABEL_ORDER
     }
-    elation_powers: dict[int, tuple[tuple[Point, ...], ...]] = {}
+    support = tuple(sorted(set().union(*plane_points.values())))
+    index = {p: i for i, p in enumerate(support)}
+    elation_powers: dict[int, tuple[tuple[int, ...], ...]] = {}
     for k in LABEL_ORDER:
         mu = space_elations[(k - 1) % len(LABEL_ORDER)]
         images = pg.apply_collineation(mu, plane_points[k])
@@ -204,11 +214,12 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
                     f"the elation of conic {LABEL_NAMES[k]} at {base} does not carry "
                     f"layer {j} onto layer {(j + 1) % 3}"
                 )
-        elation_powers[k] = (plane_points[k], images, tuple(map(perm.__getitem__, images)))
+        powers = (plane_points[k], images, tuple(map(perm.__getitem__, images)))
+        elation_powers[k] = tuple(tuple(map(index.__getitem__, pts)) for pts in powers)
     profiles: dict[int, Mapping[int, int]] = {}
     for cls in (0, 1, 2):
-        rep = (cls, 0, 0, 0)
-        s = TwelveSet(points=_layer_union(layers, rep), quadruple=rep)
+        points = layers[(0, cls)] | layers[(1, 0)] | layers[(2, 0)] | layers[(3, 0)]
+        s = TwelveSet(points=points, quadruple=(cls, 0, 0, 0))
         profiles[cls] = MappingProxyType(hyperplane_profile(s))
     if len({tuple(p.items()) for p in profiles.values()}) != 3:
         raise ValueError(f"class profiles at {base} are not distinct: {profiles}")
@@ -216,6 +227,7 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
         conics=MappingProxyType(conics),
         layers=MappingProxyType(layers),
         plane_points=MappingProxyType(plane_points),
+        support=support,
         space_elations=MappingProxyType(space_elations),
         elation_powers=MappingProxyType(elation_powers),
         profiles=MappingProxyType(profiles),
@@ -224,20 +236,31 @@ def conic_layers(model: VeroneseModel, base: Point) -> LayerSystem:
 
 
 def induced_layer_powers(
-    model: VeroneseModel, base: Point, act: Mapping[Point, Point]
+    model: VeroneseModel, base: Point, act: Sequence[int]
 ) -> tuple[int, ...] | None:
     """Which power of each conic plane's layer elation a collineation induces,
     or None if it fails to preserve some conic plane or induces something
-    else entirely.  The collineation is given by its action on the points of
-    the four conic planes, as group_closure returns it."""
+    else entirely.  The collineation is given by its action on the support,
+    the points of the four conic planes, as group_closure returns it: act[i]
+    is the index in support of the image of support[i].  An action that is
+    not one index into the support per support point raises ValueError."""
     system = conic_layers(model, base)
+    n = len(system.support)
+    if len(act) != n:
+        raise ValueError(f"an action on the {n} support points lists {len(act)} images")
     out = []
     for k in LABEL_ORDER:
         powers = system.elation_powers[k]
-        image = tuple(map(act.__getitem__, powers[0]))
-        if image not in powers:
+        try:
+            out.append(powers.index(itemgetter(*powers[0])(act)))
+        except ValueError:
+            # every support point lies on some plane, so an action that all
+            # four planes match holds only indices into the support
+            bad = next((i for i, x in enumerate(act) if x not in range(n)), None)
+            if bad is not None:
+                raise ValueError(f"entry {bad} of the action is {act[bad]!r}, "
+                                 f"not an index into the {n} support points") from None
             return None
-        out.append(powers.index(image))
     return tuple(out)
 
 
@@ -249,26 +272,21 @@ def twelve_set(model: VeroneseModel, base: Point, quad: Quadruple) -> TwelveSet:
     """Union of one layer per conic, as dictated by the quadruple."""
     if len(quad) != len(LABEL_ORDER):
         raise ValueError(f"quadruple {tuple(quad)} has {len(quad)} entries, not 4")
-    quad = tuple([q % 3 for q in quad])
-    points = _layer_union(conic_layers(model, base).layers, quad)
+    quad = (quad[0] % 3, quad[1] % 3, quad[2] % 3, quad[3] % 3)
+    a, b, c, d = quad
+    layers = conic_layers(model, base).layers    # labels in LABEL_ORDER, (0, 1, 2, 3)
+    points = layers[(0, a)] | layers[(1, b)] | layers[(2, c)] | layers[(3, d)]
     return TwelveSet(points=points, quadruple=quad)
-
-
-def _layer_union(
-    layers: Mapping[tuple[int, int], frozenset[Point]], quad: Quadruple
-) -> frozenset[Point]:
-    a, b, c, d = quad       # layer indices in LABEL_ORDER, which is (0, 1, 2, 3)
-    return layers[(0, a)] | layers[(1, b)] | layers[(2, c)] | layers[(3, d)]
 
 
 def hyperplane_profile(s: TwelveSet) -> dict[int, int]:
     """Histogram of |prime and set| over all 364 primes of PG(5,3), in
-    ascending order of the section size."""
-    sizes = pg.section_sizes(5, s.points)
+    ascending order of the section size, read from the set's sizes."""
+    sizes = s.section_sizes
     profile, left, k = {}, len(sizes), 0
     while left:             # stop once all 364 primes are counted
-        if n := sizes.count(k):
-            profile[k] = n
+        if k in sizes:
+            profile[k] = n = sizes.count(k)
             left -= n
         k += 1
     return profile
@@ -289,14 +307,15 @@ def classify(model: VeroneseModel, base: Point, s: TwelveSet) -> str:
 
 def group_closure(
     generators: Iterable[Collineation], points: Collection[Point]
-) -> dict[Collineation, Mapping[Point, Point]]:
+) -> dict[Collineation, tuple[int, ...]]:
     """The group the collineations generate, each element (canonical matrix)
-    with its action on the points.  Only the generators are applied; a
-    product g h (g first) acts as p -> h(g(p)).  Every generator must permute
-    the points; the first point it sends off them, or onto an earlier point's
-    image, raises with both.  A product is multiplied out only when its
-    action, as point indices, is new; the points must determine
-    collineations, or that would not be exact."""
+    with its action on the points as a tuple of indices: with the points
+    taken in order and repeats dropped, act[i] is the index of the image of
+    the i-th point.  Only the generators are applied; a product g h (g first)
+    acts as p -> h(g(p)).  Every generator must permute the points; the first
+    point it sends off them, or onto an earlier point's image, raises with
+    both.  A product is multiplied out only when its action is new; the
+    points must determine collineations, or that would not be exact."""
     points = tuple(dict.fromkeys(points))
     index = {p: i for i, p in enumerate(points)}
     gens = []
@@ -330,7 +349,7 @@ def group_closure(
                     found[act] = pg.compose(g, h)
                     fresh.append((act, found[act]))
         frontier = fresh
-    return {g: dict(zip(points, map(points.__getitem__, act))) for act, g in found.items()}
+    return {g: act for act, g in found.items()}
 
 
 def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
@@ -345,11 +364,10 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
     conic planes, as group_closure carries it; its verdicts read those maps.
     """
     system = conic_layers(model, base)
-    support = sorted(set().union(*system.plane_points.values()))
+    support = system.support
     mus = [system.space_elations[k] for k in LABEL_ORDER]
-    actions = group_closure(mus, support)
-    group = sorted(actions)
-    induced = {g: induced_layer_powers(model, base, actions[g]) for g in group}
+    group = sorted(group_closure(mus, support).items())     # (matrix, action) pairs
+    induced = {g: induced_layer_powers(model, base, act) for g, act in group}
     for k, mu in zip(LABEL_ORDER, mus):
         expected = tuple(int(i != k) for i in LABEL_ORDER)
         if induced[mu] != expected:
@@ -361,11 +379,12 @@ def verify_orbit_equivalence(model: VeroneseModel, base: Point) -> OrbitReport:
         if powers is None:
             raise ValueError(f"group element {g} does not induce layer elations")
     sets_by_points = {twelve_set(model, base, q).points: q for q in all_quadruples()}
+    index = {p: i for i, p in enumerate(support)}
     witnesses: dict[int, dict[Quadruple, Collineation]] = {0: {}, 1: {}}
     for cls, rep in ((0, (0, 0, 0, 0)), (1, (1, 1, 1, 1))):
-        start = twelve_set(model, base, rep).points
-        for g in group:
-            q = sets_by_points.get(frozenset(map(actions[g].__getitem__, start)))
+        start = itemgetter(*map(index.__getitem__, twelve_set(model, base, rep).points))
+        for g, act in group:
+            q = sets_by_points.get(frozenset(map(support.__getitem__, start(act))))
             if q is not None and q not in witnesses[cls]:
                 witnesses[cls][q] = g
     return OrbitReport(
@@ -434,10 +453,11 @@ def project_from_base(
     image, else a missed line point.
     """
     lines, transversal, off_transversal, images = _projection_frame(model, base, target)
-    outside = s.points - images.keys()
-    if outside:
-        raise ValueError(f"{pg.format_point(min(outside))} lies in no layer of the base")
-    image = set(map(images.__getitem__, s.points))
+    try:
+        image = set(map(images.__getitem__, s.points))
+    except KeyError:
+        outside = min(s.points - images.keys())
+        raise ValueError(f"{pg.format_point(outside)} lies in no layer of the base") from None
     if image != off_transversal:
         stray = pg.format_point(min(image - off_transversal or off_transversal - image))
         raise ValueError(f"the image and the line points off the transversal differ at {stray}")
@@ -456,8 +476,8 @@ def analyze_exotic(
     common point, and the projection picture from that point."""
     if classify(model, base, s) != "exotic":
         raise ValueError("not an exotic (sum 2 mod 3) twelve-set")
-    primes = pg.hyperplanes_meeting(5, s.points, 6)
-    common = pg.hyperplanes_meeting(5, primes, len(primes))
+    primes = pg.hyperplanes_of_size(5, s.section_sizes, 6)
+    common = pg.common_points(5, primes)
     if len(common) != 1:
         raise ValueError("six-point primes do not meet in a single point")
     if target is None:

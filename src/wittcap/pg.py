@@ -12,7 +12,8 @@ scalar by normalizing the first nonzero entry in row-major order to 1.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -110,11 +111,35 @@ def hyperplanes_meeting(n: int, pts: Iterable[Point], k: int) -> tuple[Hyperplan
     """The hyperplanes carrying exactly k of the points, in enumeration order.
     The table is symmetric, so it also reads dually: given m hyperplanes in
     place of the points and k = m, it returns the points on all of them."""
-    sizes = section_sizes(n, pts)
+    return hyperplanes_of_size(n, section_sizes(n, pts), k)
+
+
+def hyperplanes_of_size(n: int, sizes: bytes, k: int) -> tuple[Hyperplane, ...]:
+    """The hyperplanes whose byte in sizes, as section_sizes returns them, is
+    k, in enumeration order.  Sizes of another length raise ValueError."""
+    hyperplanes = enumerate_hyperplanes(n)
+    if len(sizes) != len(hyperplanes):
+        raise ValueError(f"{len(sizes)} section sizes for the {len(hyperplanes)} "
+                         f"hyperplanes of PG({n},3)")
     if not 0 <= k <= 255:
         return ()
     one_hot = _ONE_HOT[255 - k:511 - k]
-    return tuple(itertools.compress(enumerate_hyperplanes(n), sizes.translate(one_hot)))
+    return tuple(itertools.compress(hyperplanes, sizes.translate(one_hot)))
+
+
+def common_points(n: int, hyperplanes: Iterable[Hyperplane]) -> tuple[Point, ...]:
+    """The points on every one of the hyperplanes, in enumeration order: one
+    AND of their table rows, so with no hyperplanes every point.  A
+    hyperplane that is not canonical in PG(n,3) raises ValueError."""
+    rows = hyperplane_point_masks(n)
+    points = enumerate_points(n)
+    every = int.from_bytes(b"\x01" * len(points), "little")
+    try:
+        common = reduce(and_, map(rows.__getitem__, hyperplanes), every)
+    except KeyError as e:
+        bad = format_point(e.args[0])
+        raise ValueError(f"{bad} is not a canonical hyperplane of PG({n},3)") from None
+    return tuple(itertools.compress(points, common.to_bytes(len(points), "little")))
 
 
 def sections(n: int, pts: Iterable[Point], k: int) -> dict[Hyperplane, frozenset[Point]]:

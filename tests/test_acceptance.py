@@ -123,14 +123,15 @@ def test_criterion_08_layer_elations_and_their_extension(model, base, base_exten
     system = cosets.conic_layers(model, base)
     ok = True
     for k in cosets.LABEL_ORDER:
-        kappa = dict(zip(system.plane_points[k], system.elation_powers[k][1]))
+        images = map(system.support.__getitem__, system.elation_powers[k][1])
+        kappa = dict(zip(system.plane_points[k], images))
         for j in (0, 1, 2):
             image = {kappa[p] for p in system.layers[(k, j)]}
             ok = ok and image == system.layers[(k, (j + 1) % 3)]
     mu0 = system.space_elations[0]
     ok = ok and mu0 == base_extension
-    support = tuple(set().union(*system.plane_points.values()))
-    act = dict(zip(support, pg.apply_collineation(mu0, support)))
+    support = system.support
+    act = tuple(map(support.index, pg.apply_collineation(mu0, support)))
     ok = ok and cosets.induced_layer_powers(model, base, act) == (0, 1, 1, 1)
     plane = pg.flat_points(system.conics[0].plane)
     ok = ok and pg.apply_collineation(mu0, plane) == plane

@@ -38,9 +38,14 @@ def system(model, base):
     return cosets.conic_layers(model, base)
 
 
+def _points(system, indices):
+    """The support points at the given indices."""
+    return tuple(map(system.support.__getitem__, indices))
+
+
 def _layer_elation(system, k):
     """The layer elation of label k as a point map on its conic plane."""
-    return dict(zip(system.plane_points[k], system.elation_powers[k][1]))
+    return dict(zip(system.plane_points[k], _points(system, system.elation_powers[k][1])))
 
 
 def test_labels_follow_the_direction_rule(model, base, system):
@@ -155,7 +160,7 @@ def test_record_elation_powers_compose_the_layer_elation(model, pre):
         kappa = _layer_elation(system, k)
         power = system.plane_points[k]
         for e in (0, 1, 2):
-            assert system.elation_powers[k][e] == power
+            assert _points(system, system.elation_powers[k][e]) == power
             power = tuple(kappa[p] for p in power)
         assert power == system.plane_points[k]
         assert len(system.elation_powers[k]) == 3
@@ -224,7 +229,8 @@ def test_cached_geometry_is_read_only(model, base, system):
         system.elation_powers[0] = ()
     with pytest.raises(TypeError):
         system.space_elations[0] = system.space_elations[1]
-    assert cosets.conic_layers(model, base).elation_powers[0][0] == system.plane_points[0]
+    assert _points(system, cosets.conic_layers(model, base).elation_powers[0][0]) == (
+        system.plane_points[0])
     s = cosets.twelve_set(model, base, (2, 0, 0, 0))
     target = system.target
     first = cosets.project_from_base(model, base, s, target)
@@ -278,14 +284,33 @@ def test_base_extension_fixes_its_conic_plane_pointwise(system):
 
 
 def _plane_action(system, mu):
-    """The collineation's action on the 49 points of the four conic planes."""
-    support = tuple(set().union(*system.plane_points.values()))
-    return dict(zip(support, pg.apply_collineation(mu, support)))
+    """The collineation's action on the 49 points of the four conic planes,
+    as indices into the support."""
+    support = system.support
+    assert support == tuple(sorted(set().union(*system.plane_points.values())))
+    return tuple(map(support.index, pg.apply_collineation(mu, support)))
 
 
 def test_base_extension_restricts_to_first_powers_elsewhere(model, base, system):
     act = _plane_action(system, system.space_elations[0])
     assert cosets.induced_layer_powers(model, base, act) == (0, 1, 1, 1)
+
+
+def test_induced_layer_powers_refuses_an_action_off_the_support(model, base, system):
+    # an action lists one support index per support point; a partial one,
+    # or one holding a stray entry, is refused with a witness, while a
+    # well-formed action that moves a point off its plane induces nothing
+    act = _plane_action(system, system.space_elations[0])
+    with pytest.raises(ValueError, match="^an action on the 49 support points lists 13 images$"):
+        cosets.induced_layer_powers(model, base, act[:13])
+    for stray in (49, -1, None):
+        with pytest.raises(ValueError, match=f"^entry 48 of the action is {stray}, not an index"):
+            cosets.induced_layer_powers(model, base, act[:-1] + (stray,))
+    i = system.support.index(min(system.layers[(0, 0)]))
+    j = system.support.index(min(system.layers[(1, 0)]))
+    moved = list(act)
+    moved[i], moved[j] = moved[j], moved[i]
+    assert cosets.induced_layer_powers(model, base, tuple(moved)) is None
 
 
 @pytest.mark.parametrize("k", cosets.LABEL_ORDER, ids=cosets.LABEL_NAMES)
@@ -403,6 +428,49 @@ def test_classify_rejects_mismatched_quadruple(model, base):
     forged = cosets.TwelveSet(points=s.points, quadruple=(0, 0, 0, 0))
     with pytest.raises(ValueError, match="mismatch"):
         cosets.classify(model, base, forged)
+
+
+def test_a_relabelled_set_is_judged_by_its_own_points(model, base):
+    # the section sizes are cached per set object, and a dataclasses.replace'd
+    # copy starts with nothing cached: the cap's points under the surface's
+    # quadruple are refused with the cap's profile, whichever set the copy
+    # was made from
+    surface = cosets.twelve_set(model, base, (0, 0, 0, 0))
+    cap = cosets.twelve_set(model, base, (1, 1, 1, 1))
+    assert cosets.classify(model, base, surface) == "surface"
+    assert cosets.classify(model, base, cap) == "cap"
+    assert "section_sizes" in vars(cap)
+    for forged in (dataclasses.replace(cap, quadruple=(0, 0, 0, 0)),
+                   dataclasses.replace(surface, points=cap.points)):
+        assert "section_sizes" not in vars(forged)
+        with pytest.raises(ValueError, match=re.escape(
+            f"(0, 0, 0, 0): {CAP_PROFILE} != {SURFACE_PROFILE}"
+        )):
+            cosets.classify(model, base, forged)
+
+
+def test_one_exotic_set_scans_the_primes_once(model, base, system, monkeypatch):
+    # classify, hyperplane_profile and analyze_exotic all read the sizes the
+    # set scanned once; the per-base record is built before counting
+    scans = []
+    section_sizes = pg.section_sizes
+    monkeypatch.setattr(
+        pg, "section_sizes", lambda n, pts: scans.append(n) or section_sizes(n, pts))
+    s = cosets.twelve_set(model, base, (2, 0, 0, 0))
+    assert cosets.classify(model, base, s) == "exotic"
+    assert cosets.hyperplane_profile(s) == EXOTIC_PROFILE
+    assert len(cosets.analyze_exotic(model, base, s).six_point_primes) == 42
+    assert scans == [5]
+
+
+@pytest.mark.parametrize("pre", pg.enumerate_points(2), ids=pg.format_point)
+def test_six_point_primes_of_every_exotic_set_meet_in_the_base(model, pre):
+    base = veronese_map(pre)
+    for q in cosets.all_quadruples():
+        if sum(q) % 3 == 2:
+            primes = pg.hyperplanes_meeting(5, cosets.twelve_set(model, base, q).points, 6)
+            assert len(primes) == 42
+            assert pg.common_points(5, primes) == (base,)
 
 
 def test_all_81_sets_lie_on_the_chordal_cubic(model, base):
@@ -738,6 +806,12 @@ def _reference_closure(generators, points):
     return found
 
 
+def _point_maps(closure, points):
+    """group_closure's index actions as point maps on the points."""
+    points = tuple(dict.fromkeys(points))
+    return {g: dict(zip(points, map(points.__getitem__, act))) for g, act in closure.items()}
+
+
 def _conic_plane_support(model, base):
     return sorted(set().union(*cosets.conic_layers(model, base).plane_points.values()))
 
@@ -755,7 +829,7 @@ def test_group_closure_carries_the_action_of_a_non_abelian_group():
     # the point set, every point of PG(5,3), is invariant
     assert pg.compose(SWAP, CYCLE) != pg.compose(CYCLE, SWAP)
     points = pg.enumerate_points(5)
-    closure = cosets.group_closure([SWAP, CYCLE], points)
+    closure = _point_maps(cosets.group_closure([SWAP, CYCLE], points), points)
     assert len(closure) == 6
     for g, act in closure.items():
         assert act == dict(zip(points, pg.apply_collineation(g, points)))
@@ -763,7 +837,7 @@ def test_group_closure_carries_the_action_of_a_non_abelian_group():
 
 
 def test_group_closure_of_a_non_abelian_group_on_a_frame_matches_the_reference():
-    closure = cosets.group_closure([SWAP, CYCLE], FRAME)
+    closure = _point_maps(cosets.group_closure([SWAP, CYCLE], FRAME), FRAME)
     assert len(closure) == 6
     assert list(closure.items()) == list(_reference_closure([SWAP, CYCLE], FRAME).items())
 
@@ -775,20 +849,22 @@ def test_group_closure_at_every_base_matches_the_reference(model, pre):
     assert pg.determines_collineations(tuple(support))
     system = cosets.conic_layers(model, base)
     mus = [system.space_elations[k] for k in cosets.LABEL_ORDER]
-    closure = cosets.group_closure(mus, support)
+    closure = _point_maps(cosets.group_closure(mus, support), support)
     assert len(closure) == 27
     assert list(closure.items()) == list(_reference_closure(mus, support).items())
 
 
 def test_group_closure_of_no_generators_is_the_trivial_group():
     points = pg.enumerate_points(2)
-    assert cosets.group_closure([], points) == {gf3.identity(3): {p: p for p in points}}
+    closure = _point_maps(cosets.group_closure([], points), points)
+    assert closure == {gf3.identity(3): {p: p for p in points}}
 
 
 def test_group_closure_of_a_one_point_set_is_a_tuple_action():
     # only in PG(0,3) does one point determine collineations; the group is
     # trivial, and its one action maps the point to itself
-    assert cosets.group_closure([((2,),)], [(1,)]) == {((1,),): {(1,): (1,)}}
+    closure = _point_maps(cosets.group_closure([((2,),)], [(1,)]), [(1,)])
+    assert closure == {((1,),): {(1,): (1,)}}
 
 
 def test_group_closure_refuses_points_that_do_not_determine_collineations():

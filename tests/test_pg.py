@@ -155,8 +155,39 @@ def test_hyperplanes_meeting_reads_the_common_points_of_hyperplanes():
     for hs in cases:
         want = _common_points(hs)
         assert pg.hyperplanes_meeting(5, hs, len(hs)) == want
+        assert pg.common_points(5, hs) == want
         sizes.add(len(want))
     assert {0, 1, 4} <= sizes and max(sizes) > 4
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_common_points_match_a_brute_force_dot_scan(n):
+    # the AND of the hyperplanes' table rows, against every point tested
+    # with gf3.dot; a repeated hyperplane cuts nothing more, and with no
+    # hyperplanes every point is common
+    rng = random.Random(34 + n)
+    pts = pg.enumerate_points(n)
+    cases = [[], [pts[0]], pts[:2], pts] + [rng.sample(pts, m) for m in range(1, n + 2)]
+    cases += [hs + hs[:1] for hs in cases[4:]]
+    for hs in cases:
+        want = tuple(p for p in pts if all(gf3.dot(p, h) == 0 for h in hs))
+        assert pg.common_points(n, hs) == want
+    assert pg.common_points(n, []) == pts
+
+
+def test_common_points_refuses_a_hyperplane_that_is_not_canonical():
+    with pytest.raises(ValueError, match="2:0:0:0:0:0 is not a canonical hyperplane of PG"):
+        pg.common_points(5, [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)])
+
+
+def test_hyperplanes_of_size_reads_sizes_from_section_sizes():
+    # the selector behind hyperplanes_meeting, given the sizes directly
+    pts = random.Random(9).sample(pg.enumerate_points(5), 12)
+    sizes = pg.section_sizes(5, pts)
+    for k in range(13):
+        assert pg.hyperplanes_of_size(5, sizes, k) == pg.hyperplanes_meeting(5, pts, k)
+    with pytest.raises(ValueError, match="363 section sizes for the 364 hyperplanes"):
+        pg.hyperplanes_of_size(5, sizes[1:], 6)
 
 
 def test_line_through_examples():

@@ -234,3 +234,40 @@ def test_every_parameter_is_read():
                 for p in params if p not in read
             }
     assert_all_read(unread, exempt)
+
+
+def test_every_per_layer_metric_names_a_library_function():
+    # a traced time metric whose function is gone fails the traced run with
+    # "no calibration item calls ...", and a count metric reads 0 forever.
+    # Set-up metrics and the cli. and trace. metrics name no function; an
+    # exemption names the ROADMAP item that will drop the metric.
+    exempt = {
+        "cap.internal_partner": "ROADMAP item 1, step A: the function is gone",
+        "gf3.vec_mat": "ROADMAP item 1, step A: the function is gone",
+    }
+    worker = BENCH[SRC.parents[1] / "bench" / "worker.py"]
+    table = {
+        target.id: ast.literal_eval(node.value)
+        for node in worker.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+        and target.id in ("PER_LAYER", "SETUP_METRICS", "COUNTERS")
+    }
+    named = table["COUNTERS"] | {
+        metric.rsplit(".", 1)[0]
+        for metric, _ in table["PER_LAYER"]
+        if metric not in table["SETUP_METRICS"] and not metric.startswith(("cli.", "trace."))
+    }
+    defined = {
+        f"{path.stem}.{node.name}"
+        for path, tree in LIBRARY.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert len(named) > 20
+    gone = named - defined
+    offenders = sorted(gone - exempt.keys())
+    assert not offenders, "no library function for metric: " + ", ".join(offenders)
+    stale = sorted(exempt.keys() - gone)
+    assert not stale, "stale exemption: " + ", ".join(stale)
